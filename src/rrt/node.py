@@ -8,20 +8,23 @@ A node binds one TCP port and serves four endpoints:
     GET  /<id>              alias of describe
     POST /invoke/<id>       remote method invocation
 
-Every HTTP request receives exactly one response; malformed input produces a
-structured protocol fault, never a connection abort.
+Every HTTP request receives exactly one response; a malformed invocation
+produces a structured protocol fault, never a connection abort. Connections
+are HTTP/1.1 keep-alive, served by one thread each; a ``POST`` whose
+``Content-Length`` is missing, malformed or over ``MAX_REQUEST_BYTES`` gets a
+4xx reply and the connection is closed.
 """
 
 from __future__ import annotations
 
 import html
 import json
-import os
+import socket
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import unquote
@@ -40,6 +43,9 @@ from .policy import CallContext, CallRole, PeerKind, TransmissionPolicyManager
 from .registry import ServiceRegistry, Skeleton, TypeRegistry, invoke_local
 
 DEFAULT_PORT = 8000
+IDLE_TIMEOUT = 30.0  # seconds a connection may wait for its next request
+MAX_CONNECTIONS = 64  # open connections per node; more are closed at accept
+MAX_REQUEST_BYTES = 4 * 1024 * 1024  # largest accepted invoke body
 
 
 @dataclass
@@ -51,7 +57,6 @@ class NodeConfig:
     policy_file: str | Path | None = None
     deploy_manifest: str | Path | None = None
     log_sink: str | Path | None = None  # "-" = stderr, path = append, None = memory only
-    workers: int | None = None  # bounded handler pool; default = CPU count
     request_timeout: float = 10.0
 
 
@@ -120,12 +125,13 @@ class RRTNode:
             guid_source=guid_source,
         )
         self.proxy_cache = remote.ProxyCache()
+        self.http = remote.HttpClient(self.config.request_timeout)
         self.fault_log: list[str] = []
         self.decision_observer = None
         self.invoke_requests = 0
         self.describe_requests = 0
         self._counter_lock = threading.Lock()
-        self._httpd: _PooledHTTPServer | None = None
+        self._httpd: _NodeHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self._bound_port: int | None = None
 
@@ -144,10 +150,7 @@ class RRTNode:
         """Bind the port, apply policy file and manifest, then accept traffic."""
         if self._httpd is not None:
             raise ConfigError("node already running")
-        workers = self.config.workers or os.cpu_count() or 4
-        self._httpd = _PooledHTTPServer(
-            (self.config.host, self.config.port), _Handler, workers
-        )
+        self._httpd = _NodeHTTPServer((self.config.host, self.config.port), _Handler)
         self._httpd.node = self
         self._bound_port = self._httpd.server_address[1]
         try:
@@ -202,6 +205,8 @@ class RRTNode:
                 raise ConfigError(f"manifest entry {pos}: {exc}") from exc
 
     def stop(self) -> None:
+        """Stop serving, cut open connections and close idle outbound ones."""
+        self.http.close()
         if self._httpd is None:
             return
         self._httpd.shutdown()
@@ -353,48 +358,70 @@ class RRTNode:
             )
 
 
-class _PooledHTTPServer(ThreadingHTTPServer):
-    """HTTP server dispatching requests to a bounded worker pool."""
+class _NodeHTTPServer(ThreadingHTTPServer):
+    """One thread per connection, at most ``MAX_CONNECTIONS`` open at once.
+
+    Dispatches are not bounded separately: a callback chain A->B->A... holds
+    one dispatch on every hop, so a dispatch limit would deadlock it.
+    """
 
     daemon_threads = True
     node: RRTNode
 
-    def __init__(self, addr, handler, workers: int):
-        # The pool must exist before bind: a bind failure closes the server.
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="rrt-worker"
-        )
+    def __init__(self, addr, handler):
+        self._conns: set[socket.socket] = set()
+        self._conns_lock = threading.Lock()
         super().__init__(addr, handler)
 
-    def process_request(self, request, client_address):
-        self._pool.submit(self._work, request, client_address)
+    def verify_request(self, request, client_address) -> bool:
+        with self._conns_lock:
+            return len(self._conns) < MAX_CONNECTIONS
 
-    def _work(self, request, client_address):
-        try:
-            self.finish_request(request, client_address)
-        except Exception:  # noqa: BLE001 - a broken client must not kill the pool
-            pass
-        finally:
-            self.shutdown_request(request)
+    def process_request(self, request, client_address):
+        with self._conns_lock:
+            self._conns.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._conns_lock:
+            self._conns.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        if not isinstance(sys.exc_info()[1], OSError):  # a peer that left is routine
+            super().handle_error(request, client_address)
 
     def server_close(self):
+        """Close the listener and cut every open connection, idle or not."""
         super().server_close()
-        self._pool.shutdown(wait=True)
+        with self._conns_lock:
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    server: _PooledHTTPServer
+    timeout = IDLE_TIMEOUT
+    disable_nagle_algorithm = True
+    server: _NodeHTTPServer
 
     def log_message(self, format, *args):  # noqa: A002 - base-class signature
         pass
 
     def _send(self, status: int, payload: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        # Status line, headers and body in one write, so no segment of the
+        # response waits for the client's delayed ACK.
+        head = (
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+        )
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + payload)
 
     def _send_json(self, status: int, doc: object) -> None:
         self._send(status, codec.canonical_bytes(doc), "application/json")
@@ -430,15 +457,35 @@ class _Handler(BaseHTTPRequestHandler):
         node = self.server.node
         path = unquote(self.path.split("?", 1)[0])
         if not path.startswith("/invoke/"):
-            self._send_json(404, {"error": f"no such endpoint: {path}"})
+            self._reject(404, f"no such endpoint: {path}")
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length)
-        except (ValueError, OSError):
-            body = b""
+        body = self._read_body()
+        if body is None:
+            return
         response = node.handle_invoke(path[len("/invoke/"):], body)
         self._send(200, codec.encode_response(response), "application/json")
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or None once an unusable length has been refused."""
+        lengths = self.headers.get_all("Content-Length", [])
+        if not lengths or "Transfer-Encoding" in self.headers:
+            return self._reject(411, "POST needs a Content-Length")
+        text = lengths[0].strip()
+        if len(lengths) > 1 or not (text.isascii() and text.isdigit()):
+            return self._reject(400, f"bad Content-Length: {', '.join(lengths)}")
+        # Past 18 digits the value is far over the cap (or absurdly padded).
+        length = int(text) if len(text) <= 18 else MAX_REQUEST_BYTES + 1
+        if length > MAX_REQUEST_BYTES:
+            return self._reject(413, f"request body over {MAX_REQUEST_BYTES} bytes")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            return self._reject(400, "request body shorter than its Content-Length")
+        return body
+
+    def _reject(self, status: int, message: str) -> None:
+        """Answer with an error and close: the rest of the stream cannot be trusted."""
+        self.close_connection = True
+        self._send_json(status, {"error": message})
 
 
 def serve(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
@@ -119,13 +120,6 @@ class RuleStore:
         slot[rule.overridable] = rule
         return displaced
 
-    def restore(self, key: str, overridable: bool, rule: PolicyRule | None) -> None:
-        slot = self._slots.setdefault(key, {})
-        if rule is None:
-            slot.pop(overridable, None)
-        else:
-            slot[overridable] = rule
-
     def remove_id(self, rule_id: int) -> bool:
         for slot in self._slots.values():
             for ov, rule in list(slot.items()):
@@ -149,6 +143,10 @@ def param_key(type_name: str, method_name: str, index: int) -> str:
 TypeLookup = Callable[[str], TypeDescriptor | None]
 
 _ALWAYS_BY_VALUE = PRIMITIVE_TYPES | {NULL_TYPE}
+
+# Per-call parameter overlays of the current thread or task:
+# (manager, param_key) -> {overridable: rule}. Never mutated in place.
+_PARAM_OVERLAY: ContextVar[dict | None] = ContextVar("rrt_param_overlay", default=None)
 
 
 class TransmissionPolicyManager:
@@ -241,10 +239,26 @@ class TransmissionPolicyManager:
         depth: Depth,
         overridable: bool,
     ) -> int:
+        rule = self._param_rule(
+            type_name, method_name, param_index, policy, depth, overridable
+        )
+        with self._lock:
+            self._param_rules.put(param_key(type_name, method_name, param_index), rule)
+        return rule.rule_id
+
+    def _param_rule(
+        self,
+        type_name: str,
+        method_name: str,
+        param_index: int,
+        policy: PolicyKind,
+        depth: Depth,
+        overridable: bool,
+    ) -> PolicyRule:
         if param_index < 0:
             raise PolicyRuleError("parameter index must be >= 0")
         self._check_param_index(type_name, method_name, param_index)
-        rule = self._new_rule(
+        return self._new_rule(
             RuleKind.PARAM,
             type_name,
             method_name=method_name,
@@ -253,9 +267,6 @@ class TransmissionPolicyManager:
             depth=self._check_depth(policy, depth),
             overridable=overridable,
         )
-        with self._lock:
-            self._param_rules.put(param_key(type_name, method_name, param_index), rule)
-        return rule.rule_id
 
     def set_field_to_be_cached(self, type_name: str, field_name: str) -> int:
         if not field_name:
@@ -392,18 +403,24 @@ class TransmissionPolicyManager:
         depth: Depth,
         overridable: bool,
     ) -> Iterator[int]:
-        """Install a parameter rule around a call, then restore what it displaced."""
-        key = param_key(type_name, method_name, param_index)
-        with self._lock:
-            displaced = self._param_rules.get(key).get(overridable)
-        rule_id = self.set_param_policy(
+        """Apply a parameter rule to the calls made inside the block.
+
+        The rule lives in a context variable, so it applies only to this
+        thread (or asyncio task) and this manager; it takes the place of the
+        shared rule of the same overridability in that slot, and the shared
+        rule stores are never touched.
+        """
+        rule = self._param_rule(
             type_name, method_name, param_index, policy, depth, overridable
         )
+        slot = (self, param_key(type_name, method_name, param_index))
+        overlays = dict(_PARAM_OVERLAY.get() or {})
+        overlays[slot] = {**overlays.get(slot, {}), overridable: rule}
+        token = _PARAM_OVERLAY.set(overlays)
         try:
-            yield rule_id
+            yield rule.rule_id
         finally:
-            with self._lock:
-                self._param_rules.restore(key, overridable, displaced)
+            _PARAM_OVERLAY.reset(token)
 
     # -- resolution ------------------------------------------------------------
 
@@ -417,13 +434,15 @@ class TransmissionPolicyManager:
 
             candidates: list[tuple[int, PolicyRule]] = []
             if context.role is CallRole.ARGUMENT:
-                slot = self._param_rules.get(
-                    param_key(
-                        context.declared_type_name,
-                        context.method_name,
-                        context.param_index,
-                    )
+                key = param_key(
+                    context.declared_type_name,
+                    context.method_name,
+                    context.param_index,
                 )
+                slot = self._param_rules.get(key)
+                overlays = _PARAM_OVERLAY.get()
+                if overlays and (self, key) in overlays:
+                    slot = {**slot, **overlays[self, key]}
                 _collect(candidates, slot, level_nonov=1, level_ov=4)
                 slot = self._method_rules.get(
                     method_key(context.declared_type_name, context.method_name)

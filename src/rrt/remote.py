@@ -10,6 +10,7 @@ plus `handle_network_fault` and `observe_decision` hooks.
 from __future__ import annotations
 
 import http.client
+import socket
 import threading
 from typing import Callable, Sequence
 
@@ -39,29 +40,104 @@ from .registry import Skeleton
 Transport = Callable[[Request], Response]
 
 DEFAULT_TIMEOUT = 10.0
+IDLE_PER_ENDPOINT = 4  # idle keep-alive connections kept per endpoint
+
+_POST_HEADERS = {"Content-Type": "application/json"}
 
 
-def http_transport(endpoint: Endpoint, timeout: float = DEFAULT_TIMEOUT) -> Transport:
-    """One-shot HTTP POST transport to a node's invoke endpoint."""
+class HttpClient:
+    """HTTP/1.1 client keeping a small pool of idle keep-alive connections
+    per endpoint; every outbound request of a node goes through one.
 
-    def send(request: Request) -> Response:
-        body = codec.encode_request(request)
-        conn = http.client.HTTPConnection(endpoint.host, endpoint.port, timeout=timeout)
+    An idle connection is reused only while it is not readable: end of file
+    or stray bytes mean the server closed it or the stream is out of step,
+    so it is discarded. A request whose send failed on a reused connection
+    is sent once more on a new one; once a request has been sent in full it
+    is never repeated, because the server may have executed it. Every
+    transport failure raises ``NetworkFault``.
+    """
+
+    def __init__(self, timeout: float = DEFAULT_TIMEOUT):
+        self.timeout = timeout
+        self._idle: dict[Endpoint, list[http.client.HTTPConnection]] = {}
+        self._lock = threading.Lock()
+
+    def request(
+        self, endpoint: Endpoint, method: str, path: str, body: bytes | None = None
+    ) -> tuple[int, bytes]:
+        """Send one request and return (status, body)."""
+        headers = _POST_HEADERS if body is not None else {}
+        conn = self._checkout(endpoint)
         try:
-            conn.request(
-                "POST",
-                f"/invoke/{request.target}",
-                body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            raw = conn.getresponse().read()
-        except OSError as exc:
-            raise NetworkFault(f"{endpoint}: {exc}") from exc
-        finally:
+            if conn is not None:
+                try:
+                    conn.request(method, path, body=body, headers=headers)
+                except OSError:  # not sent in full, so safe to send again
+                    conn.close()
+                    conn = None
+            if conn is None:
+                conn = self._connection(endpoint)
+                conn.request(method, path, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
             conn.close()
-        return codec.decode_response(raw)
+            raise NetworkFault(f"{endpoint}: {exc}") from exc
+        if resp.will_close:
+            conn.close()
+        else:
+            self._checkin(endpoint, conn)
+        return resp.status, data
 
-    return send
+    def close(self) -> None:
+        """Close every idle connection; later requests open new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+    def _connection(self, endpoint: Endpoint) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(
+            endpoint.host, endpoint.port, timeout=self.timeout
+        )
+
+    def _checkout(self, endpoint: Endpoint) -> http.client.HTTPConnection | None:
+        while True:
+            with self._lock:
+                conns = self._idle.get(endpoint)
+                if not conns:
+                    return None
+                conn = conns.pop()
+            if _still_open(conn):
+                return conn
+            conn.close()
+
+    def _checkin(self, endpoint: Endpoint, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            conns = self._idle.setdefault(endpoint, [])
+            if len(conns) < IDLE_PER_ENDPOINT:
+                conns.append(conn)
+                return
+        conn.close()
+
+
+def _still_open(conn: http.client.HTTPConnection) -> bool:
+    """True when an idle connection has nothing to read: no EOF, no stray bytes."""
+    sock = conn.sock
+    if sock is None:
+        return False
+    timeout = sock.gettimeout()
+    sock.setblocking(False)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        return False
+    finally:
+        sock.settimeout(timeout)
+    return False
 
 
 class Handle(RemoteProxyBase):
@@ -71,16 +147,15 @@ class Handle(RemoteProxyBase):
     interface; attribute access on an interface method yields a callable that
     forwards over the wire. Accessors for cached fields are served from the
     local snapshot and never touch the network. ``call_counter`` counts
-    transport sends (test instrumentation).
+    transport sends (test instrumentation). Sends go through the node's
+    ``HttpClient`` unless a ``transport`` is given.
     """
 
     def __init__(self, rior: RIOR, node, transport: Transport | None = None):
         self.rior = rior
         self.call_counter = 0
         self._node = node
-        self._transport = transport or http_transport(
-            rior.endpoint, getattr(node.config, "request_timeout", DEFAULT_TIMEOUT)
-        )
+        self._transport = transport or self._post
         self._cache_lock = threading.Lock()
         self.cached_fields: dict[str, object] = {
             name: codec.decode_value(
@@ -101,6 +176,15 @@ class Handle(RemoteProxyBase):
     def _send(self, request: Request) -> Response:
         self.call_counter += 1
         return self._transport(request)
+
+    def _post(self, request: Request) -> Response:
+        _, raw = self._node.http.request(
+            self.rior.endpoint,
+            "POST",
+            f"/invoke/{request.target}",
+            codec.encode_request(request),
+        )
+        return codec.decode_response(raw)
 
     def _cached_accessor(self, method: str) -> tuple[str, str] | None:
         """(op, field) when the method is a local accessor for a cached field."""
@@ -169,18 +253,7 @@ def resolve_incoming_rior(node, rior: RIOR) -> object:
 
 def get_object_by_name(node, host: str, port: int, name: str) -> object:
     """Fetch a remote service's reference by name or GUID and resolve it."""
-    conn = http.client.HTTPConnection(
-        host, port, timeout=getattr(node.config, "request_timeout", DEFAULT_TIMEOUT)
-    )
-    try:
-        conn.request("GET", f"/describe/{name}")
-        resp = conn.getresponse()
-        raw = resp.read()
-        status = resp.status
-    except OSError as exc:
-        raise NetworkFault(f"{host}:{port}: {exc}") from exc
-    finally:
-        conn.close()
+    status, raw = node.http.request(Endpoint(host, port), "GET", f"/describe/{name}")
     if status == 404:
         raise ServiceNotFound(f"{host}:{port} has no service {name!r}")
     if status != 200:

@@ -1,14 +1,19 @@
 """Policy-overhead benchmark.
 
 Measures a one-argument, one-return remote call where both the argument and
-the return value travel by reference, first with policy resolution bypassed
-by a fixed decision and then with a method rule plus a return rule installed.
-This is the worst case for the policy phase: nothing is serialized, so the
-rule evaluation cost is as visible as it ever gets.
+the return value travel by reference, with policy resolution bypassed by a
+fixed decision and with a method rule plus a return rule resolved. This is
+the worst case for the policy phase: nothing is serialized, so the rule
+evaluation cost is as visible as it ever gets.
+
+The two modes run in alternating blocks of calls, and each mode's per-call
+time is the median over its blocks, so drift of a shared machine over the
+run falls on both modes alike.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -24,10 +29,13 @@ from ..registry import MethodTable, TypeRegistry
 from .harness import LocalPair
 
 DEFAULT_CALLS = 1600
+BLOCK_CALLS = 10
 
 
 @dataclass(frozen=True)
 class BenchReport:
+    """Per-call times in ms: for each mode, the median of its block means."""
+
     calls: int
     mean_without_policy_ms: float
     mean_with_policy_ms: float
@@ -78,20 +86,6 @@ def bench_policy_overhead(
         )
         payload = Payload(7)
 
-        def run(n: int) -> float:
-            start = time.perf_counter()
-            for _ in range(n):
-                handle.echo(payload)
-            return (time.perf_counter() - start) / n * 1000.0
-
-        fixed = by_reference()
-        server.policy.fixed_decision = fixed
-        client.policy.fixed_decision = fixed
-        run(warmup)
-        mean_without = run(calls)
-
-        server.policy.fixed_decision = None
-        client.policy.fixed_decision = None
         for manager in (server.policy, client.policy):
             manager.set_method_policy(
                 "Echo", "echo", PolicyKind.BY_REFERENCE, UNBOUNDED, False
@@ -99,15 +93,41 @@ def bench_policy_overhead(
             manager.set_return_value_policy(
                 "Echo", "echo", PolicyKind.BY_REFERENCE, False
             )
-        run(warmup)
-        mean_with = run(calls)
+        fixed = by_reference()
+
+        def run(decision, n: int) -> float:
+            """Mean ms per call over n calls; a fixed decision skips the rules."""
+            server.policy.fixed_decision = decision
+            client.policy.fixed_decision = decision
+            start = time.perf_counter()
+            for _ in range(n):
+                handle.echo(payload)
+            return (time.perf_counter() - start) / n * 1000.0
+
+        run(fixed, warmup)
+        run(None, warmup)
+        blocks = [BLOCK_CALLS] * (calls // BLOCK_CALLS)
+        if calls % BLOCK_CALLS:
+            blocks.append(calls % BLOCK_CALLS)
+        without, with_policy = [], []
+        for i, n in enumerate(blocks):
+            if i % 2:  # every other block runs the two modes in the other order
+                with_policy.append(run(None, n))
+                without.append(run(fixed, n))
+            else:
+                without.append(run(fixed, n))
+                with_policy.append(run(None, n))
+        without_ms = statistics.median(without)
+        with_ms = statistics.median(with_policy)
     finally:
+        server.policy.fixed_decision = None
+        client.policy.fixed_decision = None
         if own_pair:
             pair.close()
 
     return BenchReport(
         calls=calls,
-        mean_without_policy_ms=mean_without,
-        mean_with_policy_ms=mean_with,
-        overhead_ratio=(mean_with - mean_without) / mean_without,
+        mean_without_policy_ms=without_ms,
+        mean_with_policy_ms=with_ms,
+        overhead_ratio=(with_ms - without_ms) / without_ms,
     )

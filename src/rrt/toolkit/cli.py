@@ -24,6 +24,7 @@ from ..policy import (
     describe_decision,
 )
 from ..registry import TypeRegistry
+from ..remote import HttpClient
 from .bench import bench_policy_overhead
 from .demo import register_demo_types
 from .harness import SeededGuidSource
@@ -141,27 +142,20 @@ def _cmd_call(ns) -> int:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    import http.client
-
     request = codec.Request(
         target=ns.service, method=ns.method, args=wire_args, peer_kind=ns.peer
     )
+    client = HttpClient(timeout=30)
     try:
-        conn = http.client.HTTPConnection(endpoint.host, endpoint.port, timeout=30)
-        try:
-            conn.request(
-                "POST",
-                f"/invoke/{ns.service}",
-                body=codec.encode_request(request),
-                headers={"Content-Type": "application/json"},
-            )
-            raw = conn.getresponse().read()
-        finally:
-            conn.close()
+        _, raw = client.request(
+            endpoint, "POST", f"/invoke/{ns.service}", codec.encode_request(request)
+        )
         response = codec.decode_response(raw)
-    except (OSError, RRTError) as exc:
+    except RRTError as exc:
         print(json.dumps({"fault": {"kind": "network", "message": str(exc)}}))
         return 1
+    finally:
+        client.close()
     if response.ok:
         print(json.dumps(codec.wire_to_doc(response.result)))
         return 0

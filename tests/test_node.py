@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import time
 
 import pytest
 
@@ -9,6 +11,7 @@ from rrt.codec import Prim, Request, decode_response, encode_request, wire_to_do
 from rrt.errors import ConfigError, NetworkFault
 from rrt.model import MethodDescriptor, PolicyKind, TypeDescriptor
 from rrt.node import (
+    MAX_REQUEST_BYTES,
     NodeConfig,
     apply_failure_policy,
     default_return_value,
@@ -192,6 +195,97 @@ class TestInvokeEndpoint:
         before = node.invoke_requests
         invoke(node, "P2P", "getLog")
         assert node.invoke_requests == before + 1
+
+
+def raw_post(node, headers: str, body: bytes = b"") -> tuple[int, bytes]:
+    """Send a hand-written POST; read until the server closes the connection."""
+    address = (node.endpoint.host, node.endpoint.port)
+    with socket.create_connection(address, timeout=5) as sock:
+        head = f"POST /invoke/P2P HTTP/1.1\r\nHost: rrt\r\n{headers}\r\n"
+        sock.sendall(head.encode("latin-1") + body)
+        data = b""
+        while chunk := sock.recv(4096):
+            data += chunk
+    return int(data.split(b" ", 2)[1]), data
+
+
+class TestContentLength:
+    @pytest.mark.parametrize(
+        "headers,status",
+        [
+            ("", 411),
+            ("Content-Length: ten\r\n", 400),
+            ("Content-Length: -1\r\n", 400),
+            (f"Content-Length: {MAX_REQUEST_BYTES + 1}\r\n", 413),
+        ],
+        ids=["missing", "not-integer", "negative", "over-cap"],
+    )
+    def test_refused_and_connection_closed(self, node, headers, status):
+        got, data = raw_post(node, headers)
+        assert got == status
+        assert b"Connection: close" in data
+        assert node.invoke_requests == 0
+
+    def test_good_request_after_refusal(self, node):
+        raw_post(node, "Content-Length: -1\r\n")
+        resp = invoke(node, "P2P", "getKey")
+        assert resp.ok and node.invoke_requests == 1
+
+
+class Relay:
+    def bounce(self, peer, hops):
+        return 0 if hops == 0 else 1 + peer.bounce(self, hops - 1)
+
+
+RELAY_TYPE = TypeDescriptor(
+    "Relay", methods=(MethodDescriptor("bounce", ("Relay", "i64"), "i64"),)
+)
+
+
+def register_relay(types):
+    types.register_type(RELAY_TYPE, MethodTable.for_class(Relay, RELAY_TYPE), py_type=Relay)
+
+
+class TestConnections:
+    def test_third_client_served_beside_two_idle_ones(self, node):
+        host, port = node.endpoint.host, node.endpoint.port
+        idle = []
+        try:
+            for _ in range(2):
+                conn = http.client.HTTPConnection(host, port, timeout=5)
+                conn.request("GET", "/services")
+                conn.getresponse().read()
+                idle.append(conn)
+            third = http.client.HTTPConnection(host, port, timeout=1)
+            try:
+                third.request("GET", "/services")
+                assert third.getresponse().status == 200
+            finally:
+                third.close()
+        finally:
+            for conn in idle:
+                conn.close()
+
+    def test_stop_returns_while_a_client_holds_a_connection(self, node):
+        conn = http.client.HTTPConnection(node.endpoint.host, node.endpoint.port, timeout=5)
+        try:
+            conn.request("GET", "/services")
+            conn.getresponse().read()
+            start = time.monotonic()
+            node.stop()
+            assert time.monotonic() - start < 2.0
+        finally:
+            conn.close()
+
+    def test_callback_chain_deeper_than_a_small_pool(self, node_factory):
+        # Every hop holds a dispatch on its node while it calls the other.
+        a, b = (node_factory(registrars=(register_relay,)) for _ in range(2))
+        a.deploy(Relay(), name="relay")
+        relay_b = Relay()
+        b.deploy(relay_b, name="relay")
+        handle = b.get_object_by_name(a.endpoint.host, a.endpoint.port, "relay")
+        assert handle.bounce(relay_b, 8) == 8
+        assert a.fault_log == [] and b.fault_log == []
 
 
 class TestDescribeAndBrowse:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -269,6 +271,33 @@ class TestScopedParamRule:
         with manager.scoped_param_policy("I", "m", 1, REF, UNBOUNDED, False):
             assert manager.resolve(arg_ctx(index=1)).kind is REF
         assert manager.get_param_policy("I", "m", 1) == []
+
+    def test_overlays_isolated_between_threads(self, manager):
+        wrong: list[tuple] = []
+        barrier = threading.Barrier(2)
+
+        def loop(kind):
+            barrier.wait()
+            for _ in range(500):
+                with manager.scoped_param_policy("I", "m", 1, kind, UNBOUNDED, False):
+                    got = manager.resolve(arg_ctx(index=1)).kind
+                    if got is not kind:
+                        wrong.append((kind, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=loop, args=(k,)) for k in (VAL, REF)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert manager.get_param_policy("I", "m", 1) == []
+        assert manager.all_rules() == []
 
 
 FIG9_DOC = """<?xml version="1.0" encoding="UTF-8"?>

@@ -1,18 +1,28 @@
 from __future__ import annotations
 
+import http.client
+import socket
+import threading
+
 import pytest
 
-from rrt.codec import wire_to_doc
+from rrt.codec import Request, encode_request, wire_to_doc
 from rrt.errors import (
     ApplicationFault,
     NetworkFault,
     ServiceNotFound,
     UnknownMethodError,
 )
-from rrt.model import MethodDescriptor, TypeDescriptor
+from rrt.model import Endpoint, MethodDescriptor, TypeDescriptor
 from rrt.node import NodeConfig
 from rrt.registry import MethodTable
-from rrt.remote import Handle, auto_deploy, build_rior, resolve_incoming_rior
+from rrt.remote import (
+    Handle,
+    HttpClient,
+    auto_deploy,
+    build_rior,
+    resolve_incoming_rior,
+)
 from rrt.toolkit import LocalPair
 from rrt.toolkit.demo import (
     Key,
@@ -257,3 +267,96 @@ class TestAutoDeploy:
         again = handle.getKey()
         assert again is key_handle
         assert len(pair.a.services) == services_before + 1
+
+
+def _answer_once_then_drop(listener: socket.socket, seen: list[bytes]) -> None:
+    """Answer the first request on one connection, read the second, then close."""
+    conn, _ = listener.accept()
+    with conn, conn.makefile("rb") as reader:
+        for n in range(2):
+            seen.append(reader.readline())
+            length = 0
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            reader.read(length)
+            if n == 0:
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+
+
+class TestHttpClient:
+    @pytest.fixture
+    def connects(self, monkeypatch):
+        opened = []
+        real = http.client.HTTPConnection.connect
+
+        def counting(conn):
+            opened.append(conn)
+            return real(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+        return opened
+
+    def test_calls_share_one_connection(self, pair, deployed, connects):
+        host, port = a_addr(pair)
+        handle = pair.b.get_object_by_name(host, port, "P2P")
+        for _ in range(5):
+            handle.getKey()
+        assert len(connects) == 1
+
+    def test_dead_pooled_connection_discarded_after_restart(self, node_factory, connects):
+        server = node_factory()
+        server.deploy(P2PNode(Key("k")), "IP2PNode", "P2P")
+        client = node_factory(NodeConfig(port=0, fast_fail=True))
+        host, port = server.endpoint.host, server.endpoint.port
+        handle = client.get_object_by_name(host, port, "P2P")
+        handle.getKey()
+        server.stop()
+        server.config.port = port
+        server.start()
+        handle.getKey()  # fast-fail: a network fault would raise here
+        assert len(connects) == 2
+        assert client.fault_log == []
+
+    def test_send_failure_on_reused_connection_is_retried(self, pair, deployed, monkeypatch):
+        client = HttpClient(timeout=5)
+        endpoint = pair.a.endpoint
+        client.request(endpoint, "GET", "/services")
+        real = http.client.HTTPConnection.request
+        broken = []
+
+        def flaky(conn, *args, **kwargs):
+            if conn.sock is not None and not broken:  # reused, already connected
+                broken.append(conn)
+                raise BrokenPipeError("peer went away")
+            return real(conn, *args, **kwargs)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", flaky)
+        body = encode_request(Request("P2P", "getKey", ()))
+        status, _ = client.request(endpoint, "POST", "/invoke/P2P", body)
+        client.close()
+        assert status == 200 and broken
+        assert pair.a.invoke_requests == 1
+
+    def test_request_sent_in_full_is_not_repeated(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+        seen: list[bytes] = []
+        peer = threading.Thread(target=_answer_once_then_drop, args=(listener, seen))
+        peer.start()
+        client = HttpClient(timeout=5)
+        endpoint = Endpoint("127.0.0.1", listener.getsockname()[1])
+        try:
+            assert client.request(endpoint, "POST", "/invoke/x", b"{}") == (200, b"ok")
+            with pytest.raises(NetworkFault):
+                client.request(endpoint, "POST", "/invoke/x", b"{}")
+            peer.join(timeout=5)
+            assert not peer.is_alive()
+            listener.settimeout(0.3)
+            with pytest.raises(TimeoutError):
+                listener.accept()  # no second connection: nothing was resent
+        finally:
+            client.close()
+            listener.close()
+        assert len(seen) == 2
