@@ -1,9 +1,15 @@
 """Bit-exact wire representation of values, references, requests and responses.
 
-Value graphs travel as tagged wire nodes: primitives, inlined objects with
-intra-message ids, back-references preserving aliasing and cycles, sequences,
-and remote references. Canonical JSON keeps a fixed key order so identical
-inputs always produce identical bytes.
+A wire value is its canonical v1 document: a dict whose ``k`` discriminator
+names a primitive, an inlined object with an intra-message id, a
+back-reference (which keeps aliasing and cycles), a sequence, or a remote
+reference. The encoder walks a live graph straight into these documents and
+the decoder builds live objects straight from parsed ones. Every document
+has a fixed key order, so identical inputs always produce identical bytes.
+
+The stdlib JSON encoder and decoder recurse, so objects and sequences nest at
+most ``MAX_NESTING`` levels deep: past it, encoding raises
+``WireFormatError`` and decoding raises ``ProtocolError``.
 
 The codec is stateless between messages; per-message state (the seen-object
 table, the id counter) is confined to one call.
@@ -11,10 +17,9 @@ table, the id counter) is confined to one call.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .errors import ProtocolError, WireFormatError
 from .model import (
@@ -38,54 +43,29 @@ I64_MAX = 2**63 - 1
 
 PRIM_TAGS = frozenset({"i64", "f64", "bool", "str", "null"})
 
+#: Deepest nesting of objects and sequences in one value, either direction.
+MAX_NESTING = 200
+#: Largest invoke body a node accepts; larger requests are refused unsent.
+MAX_REQUEST_BYTES = 4 * 1024 * 1024
 
-@dataclass(frozen=True)
-class Prim:
-    tag: str
-    value: int | float | bool | str | None = None
-
-
-@dataclass(frozen=True)
-class WireObject:
-    class_name: str
-    obj_id: int
-    fields: Mapping[str, "WireValue"]
+_TAG_OF_TYPE = {type(None): "null", bool: "bool", int: "i64", float: "f64", str: "str"}
 
 
-@dataclass(frozen=True)
-class Backref:
-    obj_id: int
-
-
-@dataclass(frozen=True)
-class WireSeq:
-    elements: tuple["WireValue", ...]
-
-
-@dataclass(frozen=True)
-class WireRef:
-    rior: RIOR
-
-
-WireValue = Prim | WireObject | Backref | WireSeq | WireRef
-
-PRIM_NULL = Prim("null")
-
-
-def prim_of(value: int | float | bool | str | None) -> Prim:
-    if value is None:
-        return PRIM_NULL
-    if isinstance(value, bool):
-        return Prim("bool", value)
-    if isinstance(value, int):
-        if not I64_MIN <= value <= I64_MAX:
-            raise WireFormatError(f"integer out of 64-bit range: {value}")
-        return Prim("i64", value)
-    if isinstance(value, float):
-        return Prim("f64", value)
-    if isinstance(value, str):
-        return Prim("str", value)
-    raise WireFormatError(f"not a primitive: {type(value).__name__}")
+def _prim_doc(value: object) -> dict | None:
+    """The document of a primitive value, or None when the value is not one."""
+    tag = _TAG_OF_TYPE.get(type(value))
+    if tag is None:  # subclasses of int, float and str travel as their base
+        if not isinstance(value, (int, float, str)):
+            return None
+        if isinstance(value, int):
+            tag = "i64"
+        else:
+            tag = "f64" if isinstance(value, float) else "str"
+    if tag == "null":
+        return {"k": "prim", "t": "null"}
+    if tag == "i64" and not I64_MIN <= value <= I64_MAX:
+        raise WireFormatError(f"integer out of 64-bit range: {value}")
+    return {"k": "prim", "t": tag, "v": value}
 
 
 @dataclass(frozen=True)
@@ -99,7 +79,7 @@ class Fault:
 class Request:
     target: str
     method: str
-    args: tuple[WireValue, ...] = ()
+    args: tuple[dict, ...] = ()
     peer_kind: str = "rrt"
     rrt_version: int = RRT_VERSION
 
@@ -112,7 +92,7 @@ class Request:
 @dataclass(frozen=True)
 class Response:
     ok: bool
-    result: WireValue | None = None
+    result: dict | None = None
     fault: Fault | None = None
 
     def __post_init__(self):
@@ -141,17 +121,89 @@ class MessageEncoder:
     """
 
     def __init__(self, registry, deploy_ref: DeployRef | None = None):
-        self._enc = _Encoder(registry, deploy_ref)
+        self._registry = registry
+        self._deploy_ref = deploy_ref
+        self._seen: dict[int, int] = {}  # id(live object) -> wire-object id
+        self._open_seqs: set[int] = set()
 
     def encode(
         self,
         value: object,
         decision: TransmissionDecision,
         declared_type: str | None = None,
-    ) -> WireValue:
+    ) -> dict:
         if decision.kind is PolicyKind.BY_REFERENCE:
-            return self._enc.as_ref(value, declared_type)
-        return self._enc.inline(value, 1, decision.depth, declared_type)
+            return _prim_doc(value) or self._as_ref(value, declared_type, 0)
+        return _prim_doc(value) or self._inline(value, 1, decision.depth, declared_type, 0)
+
+    # _as_ref and _inline take non-primitive values: callers try _prim_doc first.
+
+    def _as_ref(self, value: object, signature: str | None, nesting: int) -> dict:
+        if isinstance(value, (list, tuple)):
+            return self._seq(
+                value, nesting, lambda v, n: _prim_doc(v) or self._as_ref(v, None, n)
+            )
+        return self._ref(value, signature)
+
+    def _inline(
+        self, value, level: int, depth, signature: str | None, nesting: int
+    ) -> dict:
+        if isinstance(value, RemoteProxyBase):
+            return self._ref(value, signature)
+        if isinstance(value, (list, tuple)):
+            return self._seq(
+                value,
+                nesting,
+                lambda v, n: _prim_doc(v) or self._inline(v, level, depth, None, n),
+            )
+        prior = self._seen.get(id(value))
+        if prior is not None:
+            return {"k": "backref", "id": prior}
+        descriptor = self._registry.descriptor_of(value)
+        if depth is not UNBOUNDED and level > depth:
+            return self._ref(value, signature or descriptor.type_name)
+        _check_nesting(nesting, WireFormatError)
+        oid = len(self._seen)
+        self._seen[id(value)] = oid
+        fields = {}
+        for f in descriptor.fields:
+            try:
+                raw = getattr(value, f.name)
+            except AttributeError:
+                raise WireFormatError(
+                    f"{descriptor.type_name}.{f.name}: live object has no such field"
+                ) from None
+            fields[f.name] = _prim_doc(raw) or self._inline(
+                raw, level + 1, depth, f.type_name, nesting + 1
+            )
+        return {"k": "obj", "class": descriptor.type_name, "id": oid, "fields": fields}
+
+    def _seq(self, value, nesting: int, item: Callable[[object, int], dict]) -> dict:
+        if id(value) in self._open_seqs:
+            raise WireFormatError("sequences may not contain themselves")
+        _check_nesting(nesting, WireFormatError)
+        self._open_seqs.add(id(value))
+        try:
+            return {"k": "seq", "elements": [item(v, nesting + 1) for v in value]}
+        finally:
+            self._open_seqs.discard(id(value))
+
+    def _ref(self, value: object, signature: str | None) -> dict:
+        if isinstance(value, RemoteProxyBase):
+            rior = value.rior
+        elif self._deploy_ref is None:
+            raise WireFormatError(
+                "by-reference transmission needs a deployment callback"
+            )
+        else:
+            rior = self._deploy_ref(value, signature)
+        return {"k": "ref", "rior": rior_to_doc(rior)}
+
+
+def _check_nesting(nesting: int, error: type[Exception]) -> None:
+    """Refuse one more level of object or sequence past ``MAX_NESTING``."""
+    if nesting >= MAX_NESTING:
+        raise error(f"value nests more than {MAX_NESTING} objects and sequences deep")
 
 
 def encode_value(
@@ -161,7 +213,7 @@ def encode_value(
     registry,
     deploy_ref: DeployRef | None = None,
     declared_type: str | None = None,
-) -> WireValue:
+) -> dict:
     """Encode one standalone value position under a transmission decision.
 
     By-reference positions become remote references through the deploy
@@ -174,74 +226,14 @@ def encode_value(
     return MessageEncoder(registry, deploy_ref).encode(value, decision, declared_type)
 
 
-class _Encoder:
-    def __init__(self, registry, deploy_ref: DeployRef | None):
-        self.registry = registry
-        self.deploy_ref = deploy_ref
-        self.seen: dict[int, int] = {}
-        self.counter = itertools.count()
-        self._active_seqs: set[int] = set()
-
-    def _deploy(self, value: object, signature: str | None) -> WireRef:
-        if self.deploy_ref is None:
-            raise WireFormatError(
-                "by-reference transmission needs a deployment callback"
-            )
-        return WireRef(self.deploy_ref(value, signature))
-
-    def as_ref(self, value: object, signature: str | None) -> WireValue:
-        if value is None or isinstance(value, (bool, int, float, str)):
-            return prim_of(value)
-        if isinstance(value, RemoteProxyBase):
-            return WireRef(value.rior)
-        if isinstance(value, (list, tuple)):
-            return self._seq(value, lambda v: self.as_ref(v, None))
-        return self._deploy(value, signature)
-
-    def inline(self, value, level: int, depth, signature: str | None) -> WireValue:
-        if value is None or isinstance(value, (bool, int, float, str)):
-            return prim_of(value)
-        if isinstance(value, RemoteProxyBase):
-            return WireRef(value.rior)
-        if isinstance(value, (list, tuple)):
-            return self._seq(value, lambda v: self.inline(v, level, depth, None))
-        prior = self.seen.get(id(value))
-        if prior is not None:
-            return Backref(prior)
-        descriptor = self.registry.descriptor_of(value)
-        if depth is not UNBOUNDED and level > depth:
-            return self._deploy(value, signature or descriptor.type_name)
-        oid = next(self.counter)
-        self.seen[id(value)] = oid
-        fields: dict[str, WireValue] = {}
-        for f in descriptor.fields:
-            try:
-                raw = getattr(value, f.name)
-            except AttributeError:
-                raise WireFormatError(
-                    f"{descriptor.type_name}.{f.name}: live object has no such field"
-                ) from None
-            fields[f.name] = self.inline(raw, level + 1, depth, f.type_name)
-        return WireObject(descriptor.type_name, oid, fields)
-
-    def _seq(self, value, item: Callable[[object], WireValue]) -> WireSeq:
-        if id(value) in self._active_seqs:
-            raise WireFormatError("sequences may not contain themselves")
-        self._active_seqs.add(id(value))
-        try:
-            return WireSeq(tuple(item(v) for v in value))
-        finally:
-            self._active_seqs.discard(id(value))
-
-
 class MessageDecoder:
-    """Rebuilds live values from wire form, sharing the object table across
-    the positions of one message.
+    """Rebuilds live values from wire documents, sharing the object table
+    across the positions of one message.
 
-    Inlined objects are instantiated through their registered constructors
-    and populated field by field; back-references restore aliasing and
-    cycles. Remote references go through the resolver (loop-back, proxy
-    cache, or a new handle).
+    Every document is checked as it is read. Inlined objects are
+    instantiated through their registered constructors and populated field
+    by field; back-references restore aliasing and cycles. Remote references
+    go through the resolver (loop-back, proxy cache, or a new handle).
     """
 
     def __init__(self, registry, resolve_ref: ResolveRef | None = None):
@@ -249,50 +241,93 @@ class MessageDecoder:
         self._resolve_ref = resolve_ref
         self._table: dict[int, object] = {}
 
-    def decode(self, wire: WireValue) -> object:
-        if isinstance(wire, Prim):
-            return wire.value
-        if isinstance(wire, Backref):
-            if wire.obj_id not in self._table:
-                raise ProtocolError(
-                    f"back-reference to unknown object id {wire.obj_id}"
-                )
-            return self._table[wire.obj_id]
-        if isinstance(wire, WireSeq):
-            return [self.decode(e) for e in wire.elements]
-        if isinstance(wire, WireRef):
+    def decode(self, doc: object) -> object:
+        return self._decode(doc, 0)
+
+    def _decode(self, doc: object, nesting: int) -> object:
+        if not isinstance(doc, dict) or "k" not in doc:
+            raise ProtocolError("wire value must be an object with a 'k' discriminator")
+        kind = doc["k"]
+        if kind == "prim":
+            return _prim_value(doc)
+        if kind == "obj":
+            return self._object(doc, nesting)
+        if kind == "backref":
+            oid = _req(doc, "id", int)
+            if oid not in self._table:
+                raise ProtocolError(f"back-reference to unknown object id {oid}")
+            return self._table[oid]
+        if kind == "seq":
+            elements = _req(doc, "elements", list)
+            _check_nesting(nesting, ProtocolError)
+            return [self._decode(e, nesting + 1) for e in elements]
+        if kind == "ref":
+            rior = doc_to_rior(_req(doc, "rior", dict), self._registry)
             if self._resolve_ref is None:
                 raise ProtocolError("remote reference arrived without a resolver")
-            return self._resolve_ref(wire.rior)
-        if isinstance(wire, WireObject):
-            rt = self._registry.lookup(wire.class_name)
-            if rt is None:
-                raise ProtocolError(f"unknown class on the wire: {wire.class_name}")
-            if wire.obj_id in self._table:
-                raise ProtocolError(f"duplicate object id {wire.obj_id}")
-            if rt.instantiate is None:
-                raise ProtocolError(f"class {wire.class_name} is not instantiable")
-            declared = rt.descriptor.field_names
-            instance = rt.instantiate()
-            self._table[wire.obj_id] = instance
-            for fname, fwire in wire.fields.items():
-                if fname not in declared:
-                    raise ProtocolError(
-                        f"{wire.class_name}: undeclared field {fname!r}"
-                    )
-                setattr(instance, fname, self.decode(fwire))
-            return instance
-        raise ProtocolError(f"unknown wire node {type(wire).__name__}")
+            return self._resolve_ref(rior)
+        raise ProtocolError(f"unknown wire discriminator {kind!r}")
+
+    def _object(self, doc: dict, nesting: int) -> object:
+        class_name = _req(doc, "class", str)
+        oid = _req(doc, "id", int)
+        fields = _req(doc, "fields", dict)
+        _check_nesting(nesting, ProtocolError)
+        rt = self._registry.lookup(class_name)
+        if rt is None:
+            raise ProtocolError(f"unknown class on the wire: {class_name}")
+        if oid in self._table:
+            raise ProtocolError(f"duplicate object id {oid}")
+        if rt.instantiate is None:
+            raise ProtocolError(f"class {class_name} is not instantiable")
+        declared = rt.descriptor.field_names
+        instance = rt.instantiate()
+        self._table[oid] = instance
+        for fname, fdoc in fields.items():
+            if fname not in declared:
+                raise ProtocolError(f"{class_name}: undeclared field {fname!r}")
+            setattr(instance, fname, self._decode(fdoc, nesting + 1))
+        return instance
+
+
+def _prim_value(doc: dict) -> object:
+    tag = _req(doc, "t", str)
+    if tag not in PRIM_TAGS:
+        raise ProtocolError(f"unknown primitive tag {tag!r}")
+    if tag == "null":
+        if doc.get("v") is not None:
+            raise ProtocolError("null primitive carries no value")
+        return None
+    if "v" not in doc:
+        raise ProtocolError(f"{tag} primitive requires a value")
+    v = doc["v"]
+    if tag == "str":
+        if not isinstance(v, str):
+            raise ProtocolError(f"str primitive requires text, got {v!r}")
+        return v
+    if tag == "i64":
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ProtocolError(f"i64 primitive requires an integer, got {v!r}")
+        if not I64_MIN <= v <= I64_MAX:
+            raise ProtocolError(f"integer overflows 64 bits: {v}")
+        return v
+    if tag == "f64":
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ProtocolError(f"f64 primitive requires a number, got {v!r}")
+        return float(v)
+    if not isinstance(v, bool):
+        raise ProtocolError(f"bool primitive requires a boolean, got {v!r}")
+    return v
 
 
 def decode_value(
-    wire: WireValue,
+    doc: object,
     *,
     registry,
     resolve_ref: ResolveRef | None = None,
 ) -> object:
-    """Rebuild one standalone value from its wire form."""
-    return MessageDecoder(registry, resolve_ref).decode(wire)
+    """Rebuild one standalone value from its wire document."""
+    return MessageDecoder(registry, resolve_ref).decode(doc)
 
 
 # -- canonical JSON ----------------------------------------------------------
@@ -305,6 +340,8 @@ def canonical_bytes(doc: object) -> bytes:
         ).encode("utf-8")
     except ValueError as exc:
         raise WireFormatError(f"value not representable in JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WireFormatError(f"document nests too deeply for JSON: {exc}") from exc
 
 
 def _parse_json(data: bytes) -> object:
@@ -312,83 +349,8 @@ def _parse_json(data: bytes) -> object:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed JSON: {exc}") from exc
-
-
-def wire_to_doc(w: WireValue) -> dict:
-    if isinstance(w, Prim):
-        if w.tag not in PRIM_TAGS:
-            raise WireFormatError(f"bad primitive tag {w.tag!r}")
-        doc = {"k": "prim", "t": w.tag}
-        if w.tag != "null":
-            doc["v"] = w.value
-        return doc
-    if isinstance(w, WireObject):
-        return {
-            "k": "obj",
-            "class": w.class_name,
-            "id": w.obj_id,
-            "fields": {name: wire_to_doc(v) for name, v in w.fields.items()},
-        }
-    if isinstance(w, Backref):
-        return {"k": "backref", "id": w.obj_id}
-    if isinstance(w, WireSeq):
-        return {"k": "seq", "elements": [wire_to_doc(e) for e in w.elements]}
-    if isinstance(w, WireRef):
-        return {"k": "ref", "rior": rior_to_doc(w.rior)}
-    raise WireFormatError(f"unknown wire node {type(w).__name__}")
-
-
-def doc_to_wire(doc: object) -> WireValue:
-    if not isinstance(doc, dict) or "k" not in doc:
-        raise ProtocolError("wire value must be an object with a 'k' discriminator")
-    kind = doc["k"]
-    if kind == "prim":
-        return _doc_to_prim(doc)
-    if kind == "obj":
-        class_name = _req(doc, "class", str)
-        obj_id = _req(doc, "id", int)
-        raw = _req(doc, "fields", dict)
-        return WireObject(
-            class_name, obj_id, {k: doc_to_wire(v) for k, v in raw.items()}
-        )
-    if kind == "backref":
-        return Backref(_req(doc, "id", int))
-    if kind == "seq":
-        raw = _req(doc, "elements", list)
-        return WireSeq(tuple(doc_to_wire(e) for e in raw))
-    if kind == "ref":
-        return WireRef(doc_to_rior(_req(doc, "rior", dict)))
-    raise ProtocolError(f"unknown wire discriminator {kind!r}")
-
-
-def _doc_to_prim(doc: dict) -> Prim:
-    tag = _req(doc, "t", str)
-    if tag not in PRIM_TAGS:
-        raise ProtocolError(f"unknown primitive tag {tag!r}")
-    if tag == "null":
-        if doc.get("v") is not None:
-            raise ProtocolError("null primitive carries no value")
-        return PRIM_NULL
-    if "v" not in doc:
-        raise ProtocolError(f"{tag} primitive requires a value")
-    v = doc["v"]
-    if tag == "i64":
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ProtocolError(f"i64 primitive requires an integer, got {v!r}")
-        if not I64_MIN <= v <= I64_MAX:
-            raise ProtocolError(f"integer overflows 64 bits: {v}")
-        return Prim("i64", v)
-    if tag == "f64":
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ProtocolError(f"f64 primitive requires a number, got {v!r}")
-        return Prim("f64", float(v))
-    if tag == "bool":
-        if not isinstance(v, bool):
-            raise ProtocolError(f"bool primitive requires a boolean, got {v!r}")
-        return Prim("bool", v)
-    if not isinstance(v, str):
-        raise ProtocolError(f"str primitive requires text, got {v!r}")
-    return Prim("str", v)
+    except RecursionError as exc:
+        raise ProtocolError(f"JSON nests too deeply: {exc}") from exc
 
 
 def descriptor_to_doc(desc: TypeDescriptor) -> dict:
@@ -452,32 +414,45 @@ def rior_to_doc(rior: RIOR) -> dict:
         "name": rior.service_name,
         "iface": descriptor_to_doc(rior.interface_descriptor),
         "cache": {
-            "fields": {n: wire_to_doc(rior.cached_field_snapshot[n]) for n in names},
+            "fields": {n: rior.cached_field_snapshot[n] for n in names},
             "accessors": names,
         },
     }
 
 
-def doc_to_rior(doc: object) -> RIOR:
+def doc_to_rior(doc: object, registry=None) -> RIOR:
+    """Parse a reference document. Its snapshot documents are kept as they
+    are and checked when decoded. With a registry, an interface document equal
+    to a registered type's own yields that registered descriptor."""
     if not isinstance(doc, dict):
         raise ProtocolError("remote reference must be an object")
     try:
         cache = doc.get("cache") or {"fields": {}, "accessors": []}
         if not isinstance(cache, dict):
             raise ProtocolError("cache section must be an object")
-        snapshot = {
-            name: doc_to_wire(w) for name, w in _req(cache, "fields", dict).items()
-        }
         return RIOR(
             endpoint=Endpoint(_req(doc, "host", str), _req(doc, "port", int)),
             guid=GUID.parse(_req(doc, "guid", str)),
             service_name=doc.get("name"),
-            interface_descriptor=doc_to_descriptor(_req(doc, "iface", dict)),
+            interface_descriptor=_interface(_req(doc, "iface", dict), registry),
             cached_field_names=frozenset(_req(cache, "accessors", list)),
-            cached_field_snapshot=snapshot,
+            cached_field_snapshot=_req(cache, "fields", dict),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed remote reference: {exc}") from exc
+
+
+def _interface(doc: dict, registry) -> TypeDescriptor:
+    rt = registry.lookup(doc.get("name")) if registry is not None else None
+    # JSON's 1 equals true, so the one strictly boolean key is also compared
+    # by identity: a document the full parse would refuse is never reused.
+    if (
+        rt is not None
+        and doc == rt.descriptor_doc
+        and doc["interface"] is rt.descriptor.is_interface
+    ):
+        return rt.descriptor
+    return doc_to_descriptor(doc)
 
 
 def _req(doc: dict, key: str, typ: type):
@@ -495,15 +470,21 @@ def _req(doc: dict, key: str, typ: type):
 
 
 def encode_request(req: Request) -> bytes:
-    return canonical_bytes(
+    """The request's bytes; over ``MAX_REQUEST_BYTES`` no node would accept them."""
+    data = canonical_bytes(
         {
             "rrt": req.rrt_version,
             "target": req.target,
             "method": req.method,
-            "args": [wire_to_doc(a) for a in req.args],
+            "args": list(req.args),
             "peer": req.peer_kind,
         }
     )
+    if len(data) > MAX_REQUEST_BYTES:
+        raise WireFormatError(
+            f"request of {len(data)} bytes is over the {MAX_REQUEST_BYTES}-byte limit"
+        )
+    return data
 
 
 def decode_request(data: bytes) -> Request:
@@ -519,14 +500,14 @@ def decode_request(data: bytes) -> Request:
     return Request(
         target=_req(doc, "target", str),
         method=_req(doc, "method", str),
-        args=tuple(doc_to_wire(a) for a in _req(doc, "args", list)),
+        args=tuple(_req(doc, "args", list)),
         peer_kind=peer,
     )
 
 
 def encode_response(resp: Response) -> bytes:
     if resp.ok:
-        return canonical_bytes({"ok": True, "result": wire_to_doc(resp.result)})
+        return canonical_bytes({"ok": True, "result": resp.result})
     return canonical_bytes(
         {
             "ok": False,
@@ -545,7 +526,7 @@ def decode_response(data: bytes) -> Response:
         raise ProtocolError("response envelope must be a JSON object")
     ok = _req(doc, "ok", bool)
     if ok:
-        return Response(ok=True, result=doc_to_wire(_req(doc, "result", dict)))
+        return Response(ok=True, result=_req(doc, "result", dict))
     fault = _req(doc, "fault", dict)
     kind = _req(fault, "kind", str)
     if kind not in ("application", "network", "protocol"):

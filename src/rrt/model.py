@@ -261,9 +261,9 @@ def is_subtype(
 class RIOR:
     """Interoperable remote reference: where a service lives and how to talk to it.
 
-    ``cached_field_snapshot`` maps field names to wire values recorded
-    immediately before the reference was serialized; its keys always equal
-    ``cached_field_names``.
+    ``cached_field_snapshot`` maps field names to the wire documents of their
+    values, recorded immediately before the reference was serialized; its
+    keys always equal ``cached_field_names``.
     """
 
     endpoint: Endpoint

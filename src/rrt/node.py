@@ -30,7 +30,7 @@ from pathlib import Path
 from urllib.parse import unquote
 
 from . import codec, remote
-from .codec import Fault, Response
+from .codec import MAX_REQUEST_BYTES, Fault, Response
 from .errors import (
     ApplicationFault,
     ConfigError,
@@ -45,7 +45,6 @@ from .registry import ServiceRegistry, Skeleton, TypeRegistry, invoke_local
 DEFAULT_PORT = 8000
 IDLE_TIMEOUT = 30.0  # seconds a connection may wait for its next request
 MAX_CONNECTIONS = 64  # open connections per node; more are closed at accept
-MAX_REQUEST_BYTES = 4 * 1024 * 1024  # largest accepted invoke body
 
 
 @dataclass

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
+from .codec import descriptor_to_doc
 from .errors import (
     ApplicationFault,
     DeploymentError,
@@ -136,6 +138,11 @@ class RegisteredType:
     instantiate: Callable[[], object] | None = None
     factory: Callable[..., object] | None = None
     repr_fn: Callable[[object], str] | None = None
+
+    @cached_property
+    def descriptor_doc(self) -> dict:
+        """The descriptor's wire document, built once per registered type."""
+        return descriptor_to_doc(self.descriptor)
 
 
 class TypeRegistry:

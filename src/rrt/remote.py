@@ -159,11 +159,11 @@ class Handle(RemoteProxyBase):
         self._cache_lock = threading.Lock()
         self.cached_fields: dict[str, object] = {
             name: codec.decode_value(
-                wire,
+                doc,
                 registry=node.types,
                 resolve_ref=lambda r: resolve_incoming_rior(node, r),
             )
-            for name, wire in rior.cached_field_snapshot.items()
+            for name, doc in rior.cached_field_snapshot.items()
         }
 
     @property
@@ -178,12 +178,15 @@ class Handle(RemoteProxyBase):
         return self._transport(request)
 
     def _post(self, request: Request) -> Response:
-        _, raw = self._node.http.request(
+        status, raw = self._node.http.request(
             self.rior.endpoint,
             "POST",
             f"/invoke/{request.target}",
             codec.encode_request(request),
         )
+        if status != 200:  # a refusal, whose body says why
+            text = raw.decode("utf-8", "replace")
+            raise ProtocolError(f"invoke returned HTTP {status}: {text}")
         return codec.decode_response(raw)
 
     def _cached_accessor(self, method: str) -> tuple[str, str] | None:
@@ -259,7 +262,7 @@ def get_object_by_name(node, host: str, port: int, name: str) -> object:
     if status != 200:
         raise ProtocolError(f"describe returned HTTP {status}")
     doc = codec._parse_json(raw)
-    return resolve_incoming_rior(node, codec.doc_to_rior(doc))
+    return resolve_incoming_rior(node, codec.doc_to_rior(doc, node.types))
 
 
 def actual_type_name_of(node, value: object) -> str:

@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from .. import codec
 from ..errors import PolicyFileError, RRTError
-from ..model import Endpoint
+from ..model import Endpoint, by_value
 from ..node import DEFAULT_PORT, NodeConfig, serve
 from ..policy import (
     CallContext,
@@ -137,19 +137,20 @@ def _cmd_call(ns) -> int:
         raw_args = json.loads(ns.args)
         if not isinstance(raw_args, list):
             raise ValueError("arguments must be a JSON array")
-        wire_args = tuple(_json_to_wire(a) for a in raw_args)
+        request = codec.Request(
+            target=ns.service,
+            method=ns.method,
+            args=tuple(_json_to_doc(a) for a in raw_args),
+            peer_kind=ns.peer,
+        )
+        body = codec.encode_request(request)
     except (ValueError, RRTError) as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    request = codec.Request(
-        target=ns.service, method=ns.method, args=wire_args, peer_kind=ns.peer
-    )
     client = HttpClient(timeout=30)
     try:
-        _, raw = client.request(
-            endpoint, "POST", f"/invoke/{ns.service}", codec.encode_request(request)
-        )
+        _, raw = client.request(endpoint, "POST", f"/invoke/{ns.service}", body)
         response = codec.decode_response(raw)
     except RRTError as exc:
         print(json.dumps({"fault": {"kind": "network", "message": str(exc)}}))
@@ -157,7 +158,7 @@ def _cmd_call(ns) -> int:
     finally:
         client.close()
     if response.ok:
-        print(json.dumps(codec.wire_to_doc(response.result)))
+        print(json.dumps(response.result))
         return 0
     fault = response.fault
     print(json.dumps(
@@ -174,14 +175,16 @@ def _parse_address(text: str) -> Endpoint:
     return Endpoint(host, int(port))
 
 
-def _json_to_wire(value) -> codec.WireValue:
+def _json_to_doc(value) -> dict:
+    """A JSON argument as a wire document: documents pass through as they are
+    (the node checks them), arrays become sequences, scalars primitives."""
     if isinstance(value, dict):
         if "k" in value:
-            return codec.doc_to_wire(value)
+            return value
         raise ValueError("object arguments must be wire documents with a 'k' key")
     if isinstance(value, list):
-        return codec.WireSeq(tuple(_json_to_wire(v) for v in value))
-    return codec.prim_of(value)
+        return {"k": "seq", "elements": [_json_to_doc(v) for v in value]}
+    return codec.encode_value(value, by_value(), registry=None)
 
 
 def _cmd_explain(ns) -> int:

@@ -6,17 +6,7 @@ from __future__ import annotations
 import random
 import string
 
-from rrt.codec import (
-    Backref,
-    Fault,
-    Prim,
-    Request,
-    Response,
-    WireObject,
-    WireRef,
-    WireSeq,
-    WireValue,
-)
+from rrt.codec import Fault, Request, Response, rior_to_doc
 from rrt.model import (
     RIOR,
     Endpoint,
@@ -156,21 +146,29 @@ def prim_leaves(registry: TypeRegistry, root, depth) -> list:
     return out
 
 
-def wire_prim_leaves(wire: WireValue) -> list:
+def wire_prim_leaves(doc: dict) -> list:
+    """Primitive values in a wire document, in document order."""
     out: list = []
 
-    def walk(w):
-        if isinstance(w, Prim):
-            out.append(w.value)
-        elif isinstance(w, WireSeq):
-            for e in w.elements:
+    def walk(d):
+        if d["k"] == "prim":
+            out.append(d.get("v"))
+        elif d["k"] == "seq":
+            for e in d["elements"]:
                 walk(e)
-        elif isinstance(w, WireObject):
-            for v in w.fields.values():
+        elif d["k"] == "obj":
+            for v in d["fields"].values():
                 walk(v)
 
-    walk(wire)
+    walk(doc)
     return out
+
+
+def prim(tag: str, value=None) -> dict:
+    """The wire document of one primitive."""
+    if tag == "null":
+        return {"k": "prim", "t": "null"}
+    return {"k": "prim", "t": tag, "v": value}
 
 
 # -- random envelopes ---------------------------------------------------------
@@ -197,7 +195,7 @@ def gen_rior(rnd: random.Random) -> RIOR:
         is_interface=rnd.random() < 0.5,
     )
     cached = frozenset(f.name for f in fields if rnd.random() < 0.4)
-    snapshot = {n: Prim("i64", rnd.randint(0, 99)) for n in cached}
+    snapshot = {n: prim("i64", rnd.randint(0, 99)) for n in cached}
     return RIOR(
         endpoint=Endpoint(_name(rnd), rnd.randint(1, 65535)),
         guid=guid_new(lambda: rnd.randbytes(16)),
@@ -208,34 +206,37 @@ def gen_rior(rnd: random.Random) -> RIOR:
     )
 
 
-def gen_wire_value(rnd: random.Random, ids: list[int], depth: int = 0) -> WireValue:
-    """Valid-by-construction wire tree; obj ids preorder via the shared list."""
+def gen_wire_value(rnd: random.Random, ids: list[int], depth: int = 0) -> dict:
+    """Valid-by-construction wire document; obj ids preorder via the shared list."""
     roll = rnd.random()
     if depth >= 3 or roll < 0.45:
         tag = rnd.choice(["i64", "f64", "bool", "str", "null"])
         if tag == "i64":
-            return Prim("i64", rnd.randint(-(2**62), 2**62))
+            return prim("i64", rnd.randint(-(2**62), 2**62))
         if tag == "f64":
-            return Prim("f64", rnd.choice([0.0, -1.5, 3.25, 1e300, 0.1]))
+            return prim("f64", rnd.choice([0.0, -1.5, 3.25, 1e300, 0.1]))
         if tag == "bool":
-            return Prim("bool", rnd.random() < 0.5)
+            return prim("bool", rnd.random() < 0.5)
         if tag == "str":
-            return Prim("str", _name(rnd) + rnd.choice(["", " ", "✓", "\n"]))
-        return Prim("null")
+            return prim("str", _name(rnd) + rnd.choice(["", " ", "✓", "\n"]))
+        return prim("null")
     if roll < 0.65:
         oid = len(ids)
         ids.append(oid)
         fields = {}
         for i in range(rnd.randint(0, 3)):
             fields[f"f{i}"] = gen_wire_value(rnd, ids, depth + 1)
-        return WireObject(_name(rnd), oid, fields)
+        return {"k": "obj", "class": _name(rnd), "id": oid, "fields": fields}
     if roll < 0.75 and ids:
-        return Backref(rnd.choice(ids))
+        return {"k": "backref", "id": rnd.choice(ids)}
     if roll < 0.9:
-        return WireSeq(
-            tuple(gen_wire_value(rnd, ids, depth + 1) for _ in range(rnd.randint(0, 3)))
-        )
-    return WireRef(gen_rior(rnd))
+        return {
+            "k": "seq",
+            "elements": [
+                gen_wire_value(rnd, ids, depth + 1) for _ in range(rnd.randint(0, 3))
+            ],
+        }
+    return {"k": "ref", "rior": rior_to_doc(gen_rior(rnd))}
 
 
 def gen_request(rnd: random.Random) -> Request:

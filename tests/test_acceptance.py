@@ -11,16 +11,12 @@ import pytest
 
 import support
 from rrt.codec import (
-    Prim,
-    WireObject,
-    WireRef,
     decode_request,
     decode_response,
     decode_value,
     encode_request,
     encode_response,
     encode_value,
-    wire_to_doc,
 )
 from rrt.errors import ApplicationFault, DeploymentError, NetworkFault
 from rrt.model import (
@@ -39,7 +35,7 @@ from rrt.registry import MethodTable
 from rrt.remote import Handle, resolve_incoming_rior, build_rior
 from rrt.toolkit import bench_policy_overhead
 from rrt.toolkit.demo import Key, P2PNode, install_demo_policy
-from support import GNode, gen_graph, graph_registry, graphs_equal
+from support import GNode, gen_graph, graph_registry, graphs_equal, prim
 
 import test_node
 
@@ -283,7 +279,7 @@ def test_a4_smart_proxy(pair):
     assert pair.a.invoke_requests == invoke_hits
     assert node_obj.key.value == "node-key"
     remote = test_node.invoke(pair.a, "P2P", "get_key", peer="plain")
-    assert wire_to_doc(remote.result)["fields"]["value"]["v"] == "node-key"
+    assert remote.result["fields"]["value"]["v"] == "node-key"
     assert handle.get_key().value == "proxy-local"
 
 
@@ -415,7 +411,7 @@ def test_a7_deployment_contract(pair):
     ]
     assert len({r.guid for r in riors}) == 3
 
-    args = (Prim("str", "dest"), Prim("str", "payload"))
+    args = (prim("str", "dest"), prim("str", "payload"))
     rejected = test_node.invoke(pair.a, "Manage", "route", args)
     assert not rejected.ok and rejected.fault.kind == "protocol"
     accepted = test_node.invoke(pair.a, "P2P", "route", args)
@@ -446,19 +442,19 @@ def _cutoff_oracle(node, level, depth):
 
 
 def _wire_shape(wire):
-    if wire == Prim("null"):
+    if wire == prim("null"):
         return ("null",)
-    if isinstance(wire, WireRef):
+    if wire["k"] == "ref":
         return ("ref",)
-    assert isinstance(wire, WireObject)
-    return ("obj", wire.fields["tag"].value, _wire_shape(wire.fields["left"]))
+    assert wire["k"] == "obj"
+    return ("obj", wire["fields"]["tag"]["v"], _wire_shape(wire["fields"]["left"]))
 
 
 def _inlined_levels(wire):
-    if not isinstance(wire, WireObject):
+    if wire["k"] != "obj":
         return 0
     return 1 + max(
-        (_inlined_levels(v) for v in wire.fields.values()), default=0
+        (_inlined_levels(v) for v in wire["fields"].values()), default=0
     )
 
 

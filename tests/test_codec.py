@@ -9,31 +9,43 @@ from hypothesis import given, strategies as st
 
 import support
 from rrt.codec import (
-    Backref,
+    MAX_NESTING,
+    MAX_REQUEST_BYTES,
     Fault,
     MessageDecoder,
     MessageEncoder,
-    Prim,
     Request,
     Response,
-    WireObject,
-    WireRef,
-    WireSeq,
+    canonical_bytes,
     decode_request,
     decode_response,
     decode_value,
     doc_to_rior,
-    doc_to_wire,
     encode_request,
     encode_response,
     encode_value,
-    prim_of,
     rior_to_doc,
-    wire_to_doc,
 )
 from rrt.errors import ProtocolError, UnregisteredTypeError, WireFormatError
-from rrt.model import Endpoint, RIOR, UNBOUNDED, by_reference, by_value, guid_new
-from support import GNode, gen_graph, graphs_equal
+from rrt.model import (
+    Endpoint,
+    FieldDescriptor,
+    RIOR,
+    TypeDescriptor,
+    UNBOUNDED,
+    by_reference,
+    by_value,
+    guid_new,
+)
+from support import GNode, gen_graph, graphs_equal, prim
+
+
+def backref(oid):
+    return {"k": "backref", "id": oid}
+
+
+def obj_doc(class_name, oid, fields=None):
+    return {"k": "obj", "class": class_name, "id": oid, "fields": fields or {}}
 
 
 @pytest.fixture
@@ -57,21 +69,24 @@ def fake_deploy_factory():
 
 
 class TestPrimitives:
-    def test_examples(self):
-        assert prim_of(42) == Prim("i64", 42)
-        assert prim_of(True) == Prim("bool", True)
-        assert prim_of(1.5) == Prim("f64", 1.5)
-        assert prim_of("x") == Prim("str", "x")
-        assert prim_of(None) == Prim("null")
+    def test_examples(self, registry):
+        def enc(value):
+            return encode_value(value, by_value(), registry=registry)
+
+        assert enc(42) == prim("i64", 42)
+        assert enc(True) == prim("bool", True)
+        assert enc(1.5) == prim("f64", 1.5)
+        assert enc("x") == prim("str", "x")
+        assert enc(None) == {"k": "prim", "t": "null"}
 
     def test_encode_value_keeps_primitives(self, registry):
-        assert encode_value(42, by_value(), registry=registry) == Prim("i64", 42)
+        assert encode_value(42, by_value(), registry=registry) == prim("i64", 42)
         # A by-reference decision never wraps a primitive.
-        assert encode_value(42, by_reference(), registry=registry) == Prim("i64", 42)
+        assert encode_value(42, by_reference(), registry=registry) == prim("i64", 42)
 
-    def test_i64_overflow_rejected(self):
+    def test_i64_overflow_rejected(self, registry):
         with pytest.raises(WireFormatError, match="64-bit"):
-            prim_of(2**63)
+            encode_value(2**63, by_value(), registry=registry)
 
 
 class TestGraphEncoding:
@@ -79,17 +94,17 @@ class TestGraphEncoding:
         b = GNode(tag="b")
         a = GNode(tag="a", left=b)
         wire = encode_value(a, by_value(UNBOUNDED), registry=registry)
-        assert isinstance(wire, WireObject) and wire.obj_id == 0
-        assert wire.fields["tag"] == Prim("str", "a")
-        inner = wire.fields["left"]
-        assert isinstance(inner, WireObject) and inner.obj_id == 1
-        assert inner.fields["left"] == Prim("null")
+        assert wire["k"] == "obj" and wire["id"] == 0
+        assert wire["fields"]["tag"] == prim("str", "a")
+        inner = wire["fields"]["left"]
+        assert inner["k"] == "obj" and inner["id"] == 1
+        assert inner["fields"]["left"] == prim("null")
 
     def test_self_cycle_becomes_backref(self, registry):
         a = GNode(tag="loop")
         a.left = a
         wire = encode_value(a, by_value(), registry=registry)
-        assert wire.fields["left"] == Backref(0)
+        assert wire["fields"]["left"] == backref(0)
         decoded = decode_value(wire, registry=registry)
         assert decoded.left is decoded
 
@@ -97,8 +112,8 @@ class TestGraphEncoding:
         shared = GNode(tag="shared")
         root = GNode(tag="root", left=shared, right=shared)
         wire = encode_value(root, by_value(), registry=registry)
-        assert isinstance(wire.fields["left"], WireObject)
-        assert wire.fields["right"] == Backref(wire.fields["left"].obj_id)
+        assert wire["fields"]["left"]["k"] == "obj"
+        assert wire["fields"]["right"] == backref(wire["fields"]["left"]["id"])
         decoded = decode_value(wire, registry=registry)
         assert decoded.left is decoded.right
 
@@ -108,9 +123,9 @@ class TestGraphEncoding:
         order = []
 
         def walk(w):
-            if isinstance(w, WireObject):
-                order.append(w.obj_id)
-                for v in w.fields.values():
+            if w["k"] == "obj":
+                order.append(w["id"])
+                for v in w["fields"].values():
                     walk(v)
 
         walk(wire)
@@ -130,7 +145,8 @@ class TestGraphEncoding:
             node, by_reference(), registry=registry, deploy_ref=deploy,
             declared_type="GNode",
         )
-        assert isinstance(wire, WireRef)
+        assert wire["k"] == "ref"
+        assert doc_to_rior(wire["rior"]).interface_descriptor == support.GNODE_TYPE
         assert deployed == [(node, "GNode")]
 
     def test_by_reference_without_callback_fails(self, registry):
@@ -143,9 +159,9 @@ class TestGraphEncoding:
         wire = encode_value(
             chain, by_value(2), registry=registry, deploy_ref=deploy
         )
-        level2 = wire.fields["left"]
-        assert isinstance(level2, WireObject)
-        assert isinstance(level2.fields["left"], WireRef)
+        level2 = wire["fields"]["left"]
+        assert level2["k"] == "obj"
+        assert level2["fields"]["left"]["k"] == "ref"
         assert [obj.tag for obj, _ in deployed] == ["l3"]
         # Boundary refs carry the declared field type as signature.
         assert deployed[0][1] == "GNode"
@@ -154,9 +170,9 @@ class TestGraphEncoding:
         inner = GNode(tag="deep")
         root = GNode(tag="root", items=[inner, 5, "s"])
         wire = encode_value(root, by_value(2), registry=registry)
-        items = wire.fields["items"]
-        assert isinstance(items, WireSeq)
-        assert isinstance(items.elements[0], WireObject)  # level 2, inlined
+        items = wire["fields"]["items"]
+        assert items["k"] == "seq"
+        assert items["elements"][0]["k"] == "obj"  # level 2, inlined
 
     def test_list_cycle_rejected(self, registry):
         lst: list = []
@@ -207,37 +223,37 @@ class TestMessageScope:
         enc = MessageEncoder(registry)
         w0 = enc.encode(shared, by_value())
         w1 = enc.encode(shared, by_value())
-        assert isinstance(w0, WireObject) and w1 == Backref(w0.obj_id)
+        assert w0["k"] == "obj" and w1 == backref(w0["id"])
         dec = MessageDecoder(registry)
         a, b = dec.decode(w0), dec.decode(w1)
         assert a is b
 
     def test_duplicate_ids_across_positions_rejected(self, registry):
         dec = MessageDecoder(registry)
-        dec.decode(WireObject("GNode", 0, {}))
+        dec.decode(obj_doc("GNode", 0))
         with pytest.raises(ProtocolError, match="duplicate"):
-            dec.decode(WireObject("GNode", 0, {}))
+            dec.decode(obj_doc("GNode", 0))
 
 
 class TestDecodeErrors:
     def test_dangling_backref(self, registry):
         with pytest.raises(ProtocolError, match="unknown object id 7"):
-            decode_value(Backref(7), registry=registry)
+            decode_value(backref(7), registry=registry)
 
     def test_unknown_class(self, registry):
         with pytest.raises(ProtocolError, match="unknown class"):
-            decode_value(WireObject("Ghost", 0, {}), registry=registry)
+            decode_value(obj_doc("Ghost", 0), registry=registry)
 
     def test_undeclared_field(self, registry):
         with pytest.raises(ProtocolError, match="undeclared field"):
             decode_value(
-                WireObject("GNode", 0, {"bogus": Prim("null")}), registry=registry
+                obj_doc("GNode", 0, {"bogus": prim("null")}), registry=registry
             )
 
     def test_ref_without_resolver(self, registry):
         rior = RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=support.GNODE_TYPE)
         with pytest.raises(ProtocolError, match="resolver"):
-            decode_value(WireRef(rior), registry=registry)
+            decode_value({"k": "ref", "rior": rior_to_doc(rior)}, registry=registry)
 
 
 class TestEnvelopes:
@@ -246,7 +262,7 @@ class TestEnvelopes:
         assert raw.startswith(b'{"rrt":1,"target":"P2P","method":"route","args":[],"peer":"rrt"}')
 
     def test_null_result_body(self):
-        raw = encode_response(Response(ok=True, result=Prim("null")))
+        raw = encode_response(Response(ok=True, result=prim("null")))
         assert raw == b'{"ok":true,"result":{"k":"prim","t":"null"}}'
 
     def test_fault_body(self):
@@ -324,19 +340,19 @@ class TestRiorDocument:
         with pytest.raises(ProtocolError):
             doc_to_rior("not an object")
 
-    def test_wire_doc_rejects_unknown_kind(self):
+    def test_wire_doc_rejects_unknown_kind(self, registry):
         with pytest.raises(ProtocolError, match="discriminator"):
-            doc_to_wire({"k": "mystery"})
+            decode_value({"k": "mystery"}, registry=registry)
         with pytest.raises(ProtocolError):
-            doc_to_wire(["not", "a", "dict"])
+            decode_value(["not", "a", "dict"], registry=registry)
 
-    def test_prim_doc_validation(self):
+    def test_prim_doc_validation(self, registry):
         with pytest.raises(ProtocolError, match="overflow"):
-            doc_to_wire({"k": "prim", "t": "i64", "v": 2**70})
+            decode_value({"k": "prim", "t": "i64", "v": 2**70}, registry=registry)
         with pytest.raises(ProtocolError, match="integer"):
-            doc_to_wire({"k": "prim", "t": "i64", "v": True})
+            decode_value({"k": "prim", "t": "i64", "v": True}, registry=registry)
         with pytest.raises(ProtocolError):
-            doc_to_wire({"k": "prim", "t": "null", "v": 1})
+            decode_value({"k": "prim", "t": "null", "v": 1}, registry=registry)
 
 
 class TestProperties:
@@ -350,12 +366,145 @@ class TestProperties:
         )
     )
     def test_prim_document_round_trip(self, value):
-        wire = prim_of(value)
-        back = doc_to_wire(json.loads(json.dumps(wire_to_doc(wire))))
-        assert back == wire
+        doc = encode_value(value, by_value(), registry=None)
+        back = decode_value(json.loads(json.dumps(doc)), registry=None)
+        assert back == value and type(back) is type(value)
+        assert encode_value(back, by_value(), registry=None) == doc
 
     @given(st.lists(st.integers(min_value=0, max_value=9), max_size=6))
     def test_seq_round_trip_preserves_order(self, values):
         registry = support.graph_registry()
         wire = encode_value(list(values), by_value(), registry=registry)
         assert decode_value(wire, registry=registry) == list(values)
+
+
+class TestDocumentChecks:
+    """Every check of the decoder, one malformed document each."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"k": "prim", "t": "i32", "v": 1}, "unknown primitive tag"),
+            ({"k": "prim", "v": 1}, "missing key 't'"),
+            ({"k": "prim", "t": "i64"}, "requires a value"),
+            ({"k": "prim", "t": "i64", "v": 1.0}, "integer"),
+            ({"k": "prim", "t": "i64", "v": -(2**63) - 1}, "overflow"),
+            ({"k": "prim", "t": "f64", "v": False}, "number"),
+            ({"k": "prim", "t": "bool", "v": 0}, "boolean"),
+            ({"k": "prim", "t": "str", "v": 5}, "text"),
+            ({"k": "obj", "id": 0, "fields": {}}, "missing key 'class'"),
+            ({"k": "obj", "class": "GNode", "id": True, "fields": {}}, "integer"),
+            ({"k": "obj", "class": "GNode", "id": 0, "fields": []}, "wrong type"),
+            ({"k": "backref", "id": "0"}, "wrong type"),
+            ({"k": "seq", "elements": {}}, "wrong type"),
+            ({"k": "seq", "elements": [1]}, "discriminator"),
+            ({"k": "ref", "rior": {"host": "h"}}, "missing key 'port'"),
+            ({"t": "i64", "v": 1}, "discriminator"),
+        ],
+    )
+    def test_malformed_documents(self, registry, doc, message):
+        with pytest.raises(ProtocolError, match=message):
+            decode_value(doc, registry=registry, resolve_ref=lambda r: r)
+
+    def test_non_instantiable_class(self, registry):
+        registry.register_type(TypeDescriptor("Abstract"))
+        with pytest.raises(ProtocolError, match="not instantiable"):
+            decode_value(obj_doc("Abstract", 0), registry=registry)
+
+    def test_f64_accepts_integral_json_numbers(self, registry):
+        back = decode_value({"k": "prim", "t": "f64", "v": 2}, registry=registry)
+        assert back == 2.0 and type(back) is float
+
+
+def chain(length: int) -> GNode:
+    head = None
+    for i in range(length):
+        head = GNode(tag=f"c{i}", left=head)
+    return head
+
+
+def nested_seq_doc(levels: int) -> dict:
+    doc = prim("null")
+    for _ in range(levels):
+        doc = {"k": "seq", "elements": [doc]}
+    return doc
+
+
+class TestNesting:
+    def test_chain_at_the_limit_round_trips(self, registry):
+        # The last node's (empty) items list is one level below it.
+        head = chain(MAX_NESTING - 1)
+        raw = encode_response(
+            Response(ok=True, result=encode_value(head, by_value(), registry=registry))
+        )
+        back = decode_value(decode_response(raw).result, registry=registry)
+        assert graphs_equal(registry, head, back)
+
+    def test_encode_past_the_limit_is_typed(self, registry):
+        with pytest.raises(WireFormatError, match="nests more than"):
+            encode_value(chain(MAX_NESTING), by_value(), registry=registry)
+        deep: list = []
+        for _ in range(MAX_NESTING):
+            deep = [deep]
+        with pytest.raises(WireFormatError, match="nests more than"):
+            encode_value(deep, by_value(), registry=registry)
+
+    def test_decode_past_the_limit_is_typed(self, registry):
+        assert decode_value(nested_seq_doc(MAX_NESTING), registry=registry)
+        with pytest.raises(ProtocolError, match="nests more than"):
+            decode_value(nested_seq_doc(MAX_NESTING + 1), registry=registry)
+        doc = prim("null")
+        for oid in range(MAX_NESTING + 1):
+            doc = obj_doc("GNode", MAX_NESTING - oid, {"left": doc})
+        with pytest.raises(ProtocolError, match="nests more than"):
+            decode_value(doc, registry=registry)
+
+    def test_json_too_deep_for_the_parser(self):
+        raw = b'{"ok":true,"result":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        with pytest.raises(ProtocolError, match="too deeply"):
+            decode_response(raw)
+
+    def test_document_too_deep_for_json(self):
+        doc: list = []
+        for _ in range(100_000):
+            doc = [doc]
+        with pytest.raises(WireFormatError, match="too deeply"):
+            canonical_bytes(doc)
+
+
+class TestRequestSize:
+    def test_request_over_the_limit_refused(self):
+        small = encode_request(Request("t", "m", (prim("str", ""),)))
+        filler = "x" * (MAX_REQUEST_BYTES - len(small))
+        assert len(encode_request(Request("t", "m", (prim("str", filler),)))) == (
+            MAX_REQUEST_BYTES
+        )
+        with pytest.raises(WireFormatError, match="over the"):
+            encode_request(Request("t", "m", (prim("str", filler + "x"),)))
+
+
+class TestInterfaceReuse:
+    def test_equal_document_yields_registered_descriptor(self, registry):
+        registered = registry.get("GNode")
+        rior = RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=registered)
+        doc = json.loads(canonical_bytes(rior_to_doc(rior)))
+        assert doc_to_rior(doc, registry).interface_descriptor is registered
+        built = doc_to_rior(doc).interface_descriptor
+        assert built is not registered and built == registered
+
+    def test_different_document_yields_its_own_descriptor(self, registry):
+        registered = registry.get("GNode")
+        remote = TypeDescriptor(
+            "GNode", fields=registered.fields + (FieldDescriptor("extra", "i64"),)
+        )
+        doc = rior_to_doc(RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=remote))
+        got = doc_to_rior(doc, registry).interface_descriptor
+        assert got is not registered and got == remote
+
+    def test_integer_for_boolean_still_refused(self, registry):
+        registered = registry.get("GNode")
+        rior = RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=registered)
+        doc = rior_to_doc(rior)
+        doc["iface"]["interface"] = 0
+        with pytest.raises(ProtocolError):
+            doc_to_rior(doc, registry)

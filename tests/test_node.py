@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from rrt.codec import Prim, Request, decode_response, encode_request, wire_to_doc
+from rrt.codec import Request, decode_response, encode_request
 from rrt.errors import ConfigError, NetworkFault
 from rrt.model import MethodDescriptor, PolicyKind, TypeDescriptor
 from rrt.node import (
@@ -19,6 +19,7 @@ from rrt.node import (
 )
 from rrt.registry import MethodTable, TypeRegistry
 from rrt.toolkit.demo import Key, P2PNode, register_demo_types
+from support import prim
 
 
 def http_get(node, path):
@@ -128,9 +129,9 @@ class TestInvokeEndpoint:
             node,
             "P2P",
             "route",
-            (Prim("str", "dest"), Prim("str", "hello")),
+            (prim("str", "dest"), prim("str", "hello")),
         )
-        assert resp.ok and wire_to_doc(resp.result) == {"k": "prim", "t": "null"}
+        assert resp.ok and resp.result == {"k": "prim", "t": "null"}
 
     def test_unknown_service_protocol_fault(self, node):
         resp = invoke(node, "nope", "route")
@@ -140,7 +141,7 @@ class TestInvokeEndpoint:
 
     def test_interface_protection_over_the_wire(self, node):
         node.deploy(P2PNode(Key("x")), "IManage", "Manage")
-        resp = invoke(node, "Manage", "route", (Prim("str", "a"), Prim("str", "b")))
+        resp = invoke(node, "Manage", "route", (prim("str", "a"), prim("str", "b")))
         assert not resp.ok and resp.fault.kind == "protocol"
         assert resp.fault.fault_class == "UnknownMethodError"
 
@@ -168,6 +169,20 @@ class TestInvokeEndpoint:
         resp = decode_response(raw)
         assert not resp.ok and resp.fault.kind == "protocol"
 
+    def test_deeply_nested_body_gets_protocol_fault(self, node):
+        depth = 100_000
+        body = (
+            b'{"rrt":1,"target":"P2P","method":"route","args":['
+            + b"[" * depth + b"]" * depth
+            + b'],"peer":"plain"}'
+        )
+        status, raw = http_post(node, "/invoke/P2P", body)
+        assert status == 200
+        resp = decode_response(raw)
+        assert not resp.ok and resp.fault.kind == "protocol"
+        assert resp.fault.fault_class == "ProtocolError"
+        assert invoke(node, "P2P", "getKey").ok
+
     def test_version_mismatch_fault(self, node):
         body = json.dumps(
             {"rrt": 99, "target": "P2P", "method": "route", "args": [], "peer": "rrt"}
@@ -178,18 +193,18 @@ class TestInvokeEndpoint:
 
     def test_plain_peer_gets_values_rrt_peer_gets_refs(self, node):
         plain = invoke(node, "P2P", "getKey", peer="plain")
-        assert wire_to_doc(plain.result)["k"] == "obj"
+        assert plain.result["k"] == "obj"
         rrt = invoke(node, "P2P", "getKey", peer="rrt")
-        assert wire_to_doc(rrt.result)["k"] == "ref"
+        assert rrt.result["k"] == "ref"
 
     def test_policy_live_between_calls(self, node):
         first = invoke(node, "P2P", "getKey", peer="plain")
-        assert wire_to_doc(first.result)["k"] == "obj"
+        assert first.result["k"] == "obj"
         node.policy.set_return_value_policy(
             "IP2PNode", "getKey", PolicyKind.BY_REFERENCE, False
         )
         second = invoke(node, "P2P", "getKey", peer="plain")
-        assert wire_to_doc(second.result)["k"] == "ref"
+        assert second.result["k"] == "ref"
 
     def test_invoke_counter(self, node):
         before = node.invoke_requests

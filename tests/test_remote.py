@@ -6,14 +6,23 @@ import threading
 
 import pytest
 
-from rrt.codec import Request, encode_request, wire_to_doc
+import support
+from rrt.codec import MAX_REQUEST_BYTES, Request, encode_request
 from rrt.errors import (
     ApplicationFault,
     NetworkFault,
+    ProtocolError,
     ServiceNotFound,
     UnknownMethodError,
+    WireFormatError,
 )
-from rrt.model import Endpoint, MethodDescriptor, TypeDescriptor
+from rrt.model import (
+    UNBOUNDED,
+    Endpoint,
+    MethodDescriptor,
+    PolicyKind,
+    TypeDescriptor,
+)
 from rrt.node import NodeConfig
 from rrt.registry import MethodTable
 from rrt.remote import (
@@ -28,6 +37,7 @@ from rrt.toolkit.demo import (
     Key,
     Message,
     P2PNode,
+    deliver,
     install_demo_policy,
     register_demo_types,
 )
@@ -162,7 +172,7 @@ class TestSmartProxy:
     def test_cached_matches_remote_snapshot(self, pair, deployed, smart_handle):
         cached = smart_handle.get_key()
         remote_value = test_node.invoke(pair.a, "P2P", "get_key", peer="plain")
-        doc = wire_to_doc(remote_value.result)
+        doc = remote_value.result
         assert doc["fields"]["value"]["v"] == cached.value
 
     def test_local_set_never_reaches_remote(self, pair, deployed, smart_handle):
@@ -360,3 +370,57 @@ class TestHttpClient:
             client.close()
             listener.close()
         assert len(seen) == 2
+
+
+class GraphEcho:
+    def echo(self, node):
+        return node
+
+
+GRAPH_ECHO_TYPE = TypeDescriptor(
+    "GraphEcho", methods=(MethodDescriptor("echo", ("GNode",), "GNode"),)
+)
+
+
+def register_graph_echo(types):
+    support.register_graph_types(types)
+    table = MethodTable.for_class(GraphEcho, GRAPH_ECHO_TYPE)
+    types.register_type(GRAPH_ECHO_TYPE, table, py_type=GraphEcho)
+
+
+class TestLimits:
+    def test_deep_by_value_chain_is_a_typed_error(self):
+        with LocalPair(seed=5, registrars=(register_graph_echo,)) as pair:
+            pair.a.deploy(GraphEcho(), name="echo")
+            pair.b.policy.set_method_policy(
+                "GraphEcho", "echo", PolicyKind.BY_VALUE, UNBOUNDED, False
+            )
+            pair.a.policy.set_return_value_policy(
+                "GraphEcho", "echo", PolicyKind.BY_VALUE, False
+            )
+            handle = pair.b.get_object_by_name(*a_addr(pair), "echo")
+            head = None
+            for i in range(3000):
+                head = support.GNode(tag=f"c{i}", left=head)
+            with pytest.raises(WireFormatError, match="nests more than"):
+                handle.echo(head)
+            assert pair.a.invoke_requests == 0
+            short = support.GNode(tag="s", left=support.GNode(tag="t"))
+            assert handle.echo(short).left.tag == "t"
+
+    def test_oversized_request_is_a_typed_error(self, pair, deployed):
+        handle = pair.b.get_object_by_name(*a_addr(pair), "P2P")
+        big = Message("x" * (MAX_REQUEST_BYTES + 10))
+        with pytest.raises(WireFormatError, match="over the"):
+            # A size limit this high keeps the message by value.
+            deliver(pair.b, handle, Key("dest"), big, max_size=len(big.payload))
+        assert pair.a.invoke_requests == 0
+        assert not any("Broken pipe" in record for record in pair.b.fault_log)
+
+    def test_refused_invoke_is_a_protocol_error(self, pair, deployed, monkeypatch):
+        handle = pair.b.get_object_by_name(*a_addr(pair), "P2P")
+        refusal = b'{"error":"request body over 4194304 bytes"}'
+        monkeypatch.setattr(pair.b.http, "request", lambda *args: (413, refusal))
+        with pytest.raises(ProtocolError, match="HTTP 413: .*request body over"):
+            handle.getKey()
+        assert pair.b.fault_log == []
