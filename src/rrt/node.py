@@ -117,7 +117,7 @@ class RRTNode:
     ):
         self.config = config or NodeConfig()
         self.types = types or TypeRegistry()
-        self.policy = policy or TransmissionPolicyManager(self.types.maybe_descriptor)
+        self.policy = policy or TransmissionPolicyManager(types=self.types)
         self.services = ServiceRegistry(
             self.types,
             endpoint_provider=lambda: self.endpoint,
@@ -475,7 +475,10 @@ class _Handler(BaseHTTPRequestHandler):
         # Past 18 digits the value is far over the cap (or absurdly padded).
         length = int(text) if len(text) <= 18 else MAX_REQUEST_BYTES + 1
         if length > MAX_REQUEST_BYTES:
-            return self._reject(413, f"request body over {MAX_REQUEST_BYTES} bytes")
+            self._reject(413, f"request body over {MAX_REQUEST_BYTES} bytes")
+            if length <= 2 * MAX_REQUEST_BYTES:
+                self._discard_body(length)
+            return None
         body = self.rfile.read(length)
         if len(body) < length:
             return self._reject(400, "request body shorter than its Content-Length")
@@ -485,6 +488,20 @@ class _Handler(BaseHTTPRequestHandler):
         """Answer with an error and close: the rest of the stream cannot be trusted."""
         self.close_connection = True
         self._send_json(status, {"error": message})
+
+    def _discard_body(self, length: int) -> None:
+        """Read and drop a refused body after the reply has gone out.
+
+        A client still sending its body would otherwise meet a reset and never
+        read the reply. Our side is shut first, so a client that sent only the
+        headers sees the end of the reply and can close.
+        """
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while length > 0 and (chunk := self.rfile.read(min(length, 1 << 16))):
+                length -= len(chunk)
+        except OSError:
+            pass
 
 
 def serve(

@@ -1,4 +1,4 @@
-"""Transmission-policy manager: five rule stores and 7-level precedence resolution.
+"""Transmission-policy manager: one rule table and 7-level precedence resolution.
 
 Each transmitted value position (an argument or a return value) resolves to a
 by-value or by-reference decision. Contention between rules is broken by a
@@ -26,7 +26,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator
 from xml.etree import ElementTree as ET
 
 from .errors import PolicyFileError, PolicyRuleError
@@ -37,12 +38,11 @@ from .model import (
     PRIMITIVE_TYPES,
     PolicyKind,
     TransmissionDecision,
-    TypeDescriptor,
     UNBOUNDED,
     by_reference,
     by_value,
-    supertype_chain,
 )
+from .registry import TypeRegistry
 
 
 class RuleKind(Enum):
@@ -76,6 +76,20 @@ class PolicyRule:
     apply_to_subtypes: bool = False
     field_name: str | None = None
 
+    @cached_property
+    def decision(self) -> TransmissionDecision:
+        """What this rule decides when it wins; its kind fixes its level."""
+        level = _NONOV_LEVEL[self.kind] + (3 if self.overridable else 0)
+        if self.policy is PolicyKind.BY_VALUE:
+            depth = self.depth if self.depth is not None else UNBOUNDED
+            return by_value(depth, self.rule_id, level)
+        return by_reference(self.rule_id, level)
+
+
+# Non-overridable precedence level per rule kind; overridable rules sit three
+# levels lower, so every non-overridable rule outranks every overridable one.
+_NONOV_LEVEL = {RuleKind.PARAM: 1, RuleKind.METHOD: 2, RuleKind.RETURN: 2, RuleKind.CLASS: 3}
+
 
 @dataclass(frozen=True)
 class CallContext:
@@ -99,78 +113,33 @@ class CallContext:
                 raise ValueError("argument context requires a parameter index")
 
 
-class RuleStore:
-    """One associative store: deterministic key -> live rules by overridability.
-
-    Within one key at most one overridable and one non-overridable rule are
-    live; a newer rule replaces the older one of the same overridability.
-    """
-
-    def __init__(self):
-        self._slots: dict[str, dict[bool, PolicyRule]] = {}
-        self.probes = 0
-
-    def get(self, key: str) -> dict[bool, PolicyRule]:
-        self.probes += 1
-        return self._slots.get(key, {})
-
-    def put(self, key: str, rule: PolicyRule) -> PolicyRule | None:
-        slot = self._slots.setdefault(key, {})
-        displaced = slot.get(rule.overridable)
-        slot[rule.overridable] = rule
-        return displaced
-
-    def remove_id(self, rule_id: int) -> bool:
-        for slot in self._slots.values():
-            for ov, rule in list(slot.items()):
-                if rule.rule_id == rule_id:
-                    del slot[ov]
-                    return True
-        return False
-
-    def live_rules(self) -> list[PolicyRule]:
-        return [r for slot in self._slots.values() for r in slot.values()]
-
-
-def method_key(type_name: str, method_name: str) -> str:
-    return f"{type_name}#{method_name}"
-
-
-def param_key(type_name: str, method_name: str, index: int) -> str:
-    return f"{type_name}#{method_name}#{index}"
-
-
-TypeLookup = Callable[[str], TypeDescriptor | None]
-
 _ALWAYS_BY_VALUE = PRIMITIVE_TYPES | {NULL_TYPE}
+_BY_VALUE = by_value(UNBOUNDED)
+_BY_REFERENCE = by_reference()
+_EMPTY: dict = {}
 
 # Per-call parameter overlays of the current thread or task:
-# (manager, param_key) -> {overridable: rule}. Never mutated in place.
+# (manager, param rule key) -> {overridable: rule}. Never mutated in place.
 _PARAM_OVERLAY: ContextVar[dict | None] = ContextVar("rrt_param_overlay", default=None)
 
 
 class TransmissionPolicyManager:
     """Rule setting, inspection, persistence, and per-value resolution.
 
-    ``type_lookup`` (optional) lets the manager validate rules eagerly against
-    registered types and walk supertype chains during class-rule matching.
-    Resolution readers observe a consistent snapshot of all five stores;
-    setting a rule takes the same exclusive lock.
+    All rules live in one table keyed ``(kind, type[, method[, index]])``.
+    A slot holds the live rule per overridability: a newer rule replaces the
+    older one of the same overridability. A cache-rule slot holds one rule
+    per field instead. ``types`` (the node's registry) validates rules
+    against registered types and gives the supertype chains that class rules
+    match. Resolution reads the table under the same lock that setting a
+    rule takes.
     """
 
-    def __init__(self, type_lookup: TypeLookup | None = None):
-        self._type_lookup = type_lookup
-        self._class_rules = RuleStore()
-        self._method_rules = RuleStore()
-        self._return_rules = RuleStore()
-        self._param_rules = RuleStore()
-        self._cache_rules: dict[str, dict[str, PolicyRule]] = {}
-        self._cache_probes = 0
+    def __init__(self, types: TypeRegistry | None = None):
+        self._types = types if types is not None else TypeRegistry()
+        self._rules: dict[tuple, dict] = {}
         self._next_id = 0
         self._lock = threading.RLock()
-        #: When set, resolve() returns this decision without consulting rules.
-        #: Benchmark hook: models a call path with the policy phase disabled.
-        self.fixed_decision: TransmissionDecision | None = None
 
     # -- rule installation ---------------------------------------------------
 
@@ -189,9 +158,7 @@ class TransmissionPolicyManager:
             overridable=overridable,
             apply_to_subtypes=apply_to_subtypes,
         )
-        with self._lock:
-            self._class_rules.put(type_name, rule)
-        return rule.rule_id
+        return self._install((RuleKind.CLASS, type_name), overridable, rule)
 
     def set_method_policy(
         self,
@@ -209,9 +176,7 @@ class TransmissionPolicyManager:
             depth=self._check_depth(policy, depth),
             overridable=overridable,
         )
-        with self._lock:
-            self._method_rules.put(method_key(type_name, method_name), rule)
-        return rule.rule_id
+        return self._install((RuleKind.METHOD, type_name, method_name), overridable, rule)
 
     def set_return_value_policy(
         self, type_name: str, method_name: str, policy: PolicyKind, overridable: bool
@@ -226,9 +191,7 @@ class TransmissionPolicyManager:
             depth=UNBOUNDED if policy is PolicyKind.BY_VALUE else None,
             overridable=overridable,
         )
-        with self._lock:
-            self._return_rules.put(method_key(type_name, method_name), rule)
-        return rule.rule_id
+        return self._install((RuleKind.RETURN, type_name, method_name), overridable, rule)
 
     def set_param_policy(
         self,
@@ -242,9 +205,8 @@ class TransmissionPolicyManager:
         rule = self._param_rule(
             type_name, method_name, param_index, policy, depth, overridable
         )
-        with self._lock:
-            self._param_rules.put(param_key(type_name, method_name, param_index), rule)
-        return rule.rule_id
+        key = (RuleKind.PARAM, type_name, method_name, param_index)
+        return self._install(key, overridable, rule)
 
     def _param_rule(
         self,
@@ -271,15 +233,15 @@ class TransmissionPolicyManager:
     def set_field_to_be_cached(self, type_name: str, field_name: str) -> int:
         if not field_name:
             raise PolicyRuleError("cache rule requires a field name")
-        if self._type_lookup is not None:
-            desc = self._type_lookup(type_name)
-            if desc is not None and desc.field(field_name) is None:
-                raise PolicyRuleError(
-                    f"type {type_name} declares no field {field_name!r}"
-                )
+        desc = self._types.maybe_descriptor(type_name)
+        if desc is not None and desc.field(field_name) is None:
+            raise PolicyRuleError(f"type {type_name} declares no field {field_name!r}")
         rule = self._new_rule(RuleKind.CACHE_FIELD, type_name, field_name=field_name)
+        return self._install((RuleKind.CACHE_FIELD, type_name), field_name, rule)
+
+    def _install(self, key: tuple, slot: bool | str, rule: PolicyRule) -> int:
         with self._lock:
-            self._cache_rules.setdefault(type_name, {})[field_name] = rule
+            self._rules.setdefault(key, {})[slot] = rule
         return rule.rule_id
 
     def _new_rule(self, kind: RuleKind, type_name: str, **kw) -> PolicyRule:
@@ -304,9 +266,7 @@ class TransmissionPolicyManager:
         return depth
 
     def _check_param_index(self, type_name: str, method_name: str, index: int) -> None:
-        if self._type_lookup is None:
-            return
-        desc = self._type_lookup(type_name)
+        desc = self._types.maybe_descriptor(type_name)
         if desc is None:
             return
         methods = [m for m in desc.methods if m.name == method_name]
@@ -318,57 +278,39 @@ class TransmissionPolicyManager:
     # -- rule inspection -----------------------------------------------------
 
     def get_class_policy(self, type_name: str) -> list[PolicyRule]:
-        with self._lock:
-            return _slot_rules(self._class_rules, type_name)
+        return self._slot_rules((RuleKind.CLASS, type_name))
 
     def get_method_policy(self, type_name: str, method_name: str) -> list[PolicyRule]:
-        with self._lock:
-            return _slot_rules(self._method_rules, method_key(type_name, method_name))
+        return self._slot_rules((RuleKind.METHOD, type_name, method_name))
 
     def get_return_value_policy(self, type_name: str, method_name: str) -> list[PolicyRule]:
-        with self._lock:
-            return _slot_rules(self._return_rules, method_key(type_name, method_name))
+        return self._slot_rules((RuleKind.RETURN, type_name, method_name))
 
     def get_param_policy(
         self, type_name: str, method_name: str, param_index: int
     ) -> list[PolicyRule]:
+        return self._slot_rules((RuleKind.PARAM, type_name, method_name, param_index))
+
+    def _slot_rules(self, key: tuple) -> list[PolicyRule]:
         with self._lock:
-            return _slot_rules(
-                self._param_rules, param_key(type_name, method_name, param_index)
-            )
+            return sorted(self._rules.get(key, _EMPTY).values(), key=lambda r: r.rule_id)
 
     def get_cached_fields(self, type_name: str) -> set[str]:
-        with self._lock:
-            self._cache_probes += 1
-            return set(self._cache_rules.get(type_name, ()))
+        return self.cached_fields_for((type_name,))
 
-    def cached_fields_for(self, type_names) -> set[str]:
+    def cached_fields_for(self, type_names: Iterable[str]) -> set[str]:
         """Union of cache-rule field names over several type names."""
-        out: set[str] = set()
-        for name in type_names:
-            out |= self.get_cached_fields(name)
-        return out
+        with self._lock:
+            return {
+                field
+                for name in type_names
+                for field in self._rules.get((RuleKind.CACHE_FIELD, name), _EMPTY)
+            }
 
     def all_rules(self) -> list[PolicyRule]:
         with self._lock:
-            rules = (
-                self._class_rules.live_rules()
-                + self._method_rules.live_rules()
-                + self._return_rules.live_rules()
-                + self._param_rules.live_rules()
-                + [r for per in self._cache_rules.values() for r in per.values()]
-            )
-            return sorted(rules, key=lambda r: r.rule_id)
-
-    @property
-    def probe_count(self) -> int:
-        return (
-            self._class_rules.probes
-            + self._method_rules.probes
-            + self._return_rules.probes
-            + self._param_rules.probes
-            + self._cache_probes
-        )
+            rules = [r for slot in self._rules.values() for r in slot.values()]
+        return sorted(rules, key=lambda r: r.rule_id)
 
     def rule_by_id(self, rule_id: int) -> PolicyRule | None:
         for r in self.all_rules():
@@ -378,18 +320,10 @@ class TransmissionPolicyManager:
 
     def remove_rule(self, rule_id: int) -> bool:
         with self._lock:
-            for store in (
-                self._param_rules,
-                self._method_rules,
-                self._return_rules,
-                self._class_rules,
-            ):
-                if store.remove_id(rule_id):
-                    return True
-            for per in self._cache_rules.values():
-                for fname, rule in list(per.items()):
+            for slot in self._rules.values():
+                for sid, rule in slot.items():
                     if rule.rule_id == rule_id:
-                        del per[fname]
+                        del slot[sid]
                         return True
         return False
 
@@ -408,12 +342,12 @@ class TransmissionPolicyManager:
         The rule lives in a context variable, so it applies only to this
         thread (or asyncio task) and this manager; it takes the place of the
         shared rule of the same overridability in that slot, and the shared
-        rule stores are never touched.
+        rule table is never touched.
         """
         rule = self._param_rule(
             type_name, method_name, param_index, policy, depth, overridable
         )
-        slot = (self, param_key(type_name, method_name, param_index))
+        slot = (self, (RuleKind.PARAM, type_name, method_name, param_index))
         overlays = dict(_PARAM_OVERLAY.get() or {})
         overlays[slot] = {**overlays.get(slot, {}), overridable: rule}
         token = _PARAM_OVERLAY.set(overlays)
@@ -426,70 +360,41 @@ class TransmissionPolicyManager:
 
     def resolve(self, context: CallContext) -> TransmissionDecision:
         """Decide how one value crosses the wire. Total: always returns a decision."""
+        if context.actual_type_name in _ALWAYS_BY_VALUE:
+            return _BY_VALUE
+        declared, method = context.declared_type_name, context.method_name
+        rules = self._rules
+        # One slot per tier, highest precedence first.
         with self._lock:
-            if self.fixed_decision is not None:
-                return self.fixed_decision
-            if context.actual_type_name in _ALWAYS_BY_VALUE:
-                return by_value(UNBOUNDED)
-
-            candidates: list[tuple[int, PolicyRule]] = []
             if context.role is CallRole.ARGUMENT:
-                key = param_key(
-                    context.declared_type_name,
-                    context.method_name,
-                    context.param_index,
-                )
-                slot = self._param_rules.get(key)
+                key = (RuleKind.PARAM, declared, method, context.param_index)
+                param = rules.get(key, _EMPTY)
                 overlays = _PARAM_OVERLAY.get()
                 if overlays and (self, key) in overlays:
-                    slot = {**slot, **overlays[self, key]}
-                _collect(candidates, slot, level_nonov=1, level_ov=4)
-                slot = self._method_rules.get(
-                    method_key(context.declared_type_name, context.method_name)
-                )
-                _collect(candidates, slot, level_nonov=2, level_ov=5)
+                    param = {**param, **overlays[self, key]}
+                tiers = [param, rules.get((RuleKind.METHOD, declared, method), _EMPTY)]
             else:
-                slot = self._return_rules.get(
-                    method_key(context.declared_type_name, context.method_name)
-                )
-                _collect(candidates, slot, level_nonov=2, level_ov=5)
-            self._collect_class(candidates, context.actual_type_name)
+                tiers = [rules.get((RuleKind.RETURN, declared, method), _EMPTY)]
+            tiers.append(self._class_match(context.actual_type_name))
 
-            if not candidates:
-                if context.peer_kind is PeerKind.RRT:
-                    return by_reference()
-                return by_value(UNBOUNDED)
-            level, rule = min(candidates, key=lambda c: c[0])
-            return _decision_from(rule, level)
+        for overridable in (False, True):
+            for slot in tiers:
+                rule = slot.get(overridable)
+                if rule is not None:
+                    return rule.decision
+        return _BY_REFERENCE if context.peer_kind is PeerKind.RRT else _BY_VALUE
 
-    def _collect_class(
-        self, candidates: list[tuple[int, PolicyRule]], actual_type_name: str
-    ) -> None:
+    def _class_match(self, actual_type_name: str) -> dict[bool, PolicyRule]:
         # Walk the actual type's chain, most-derived first; the first match
-        # per overridability tier wins. One probe per chain entry.
+        # per overridability tier wins. One table probe per chain entry.
         found: dict[bool, PolicyRule] = {}
-        for pos, tname in enumerate(self._chain(actual_type_name)):
-            slot = self._class_rules.get(tname)
-            for ov, rule in slot.items():
-                if ov in found:
-                    continue
-                if pos == 0 or rule.apply_to_subtypes:
+        for pos, tname in enumerate(self._types.supertype_chain_of(actual_type_name)):
+            for ov, rule in self._rules.get((RuleKind.CLASS, tname), _EMPTY).items():
+                if ov not in found and (pos == 0 or rule.apply_to_subtypes):
                     found[ov] = rule
             if len(found) == 2:
                 break
-        if False in found:
-            candidates.append((3, found[False]))
-        if True in found:
-            candidates.append((6, found[True]))
-
-    def _chain(self, type_name: str) -> list[str]:
-        if self._type_lookup is None:
-            return [type_name]
-        desc = self._type_lookup(type_name)
-        if desc is None:
-            return [type_name]
-        view = _LookupView(self._type_lookup)
-        return supertype_chain(desc, view, strict=False)
+        return found
 
     # -- persistence -----------------------------------------------------------
 
@@ -567,40 +472,6 @@ class TransmissionPolicyManager:
             attrs = _attrs(elem, {"class", "field"})
             return self.set_field_to_be_cached(attrs["class"], attrs["field"])
         raise PolicyFileError(f"unknown rule element <{tag}>")
-
-
-class _LookupView:
-    """Mapping facade over a type-lookup callable, for supertype walking."""
-
-    def __init__(self, lookup: TypeLookup):
-        self._lookup = lookup
-
-    def get(self, name: str) -> TypeDescriptor | None:
-        return self._lookup(name)
-
-
-def _slot_rules(store: RuleStore, key: str) -> list[PolicyRule]:
-    return sorted(store.get(key).values(), key=lambda r: r.rule_id)
-
-
-def _collect(
-    candidates: list[tuple[int, PolicyRule]],
-    slot: dict[bool, PolicyRule],
-    *,
-    level_nonov: int,
-    level_ov: int,
-) -> None:
-    if False in slot:
-        candidates.append((level_nonov, slot[False]))
-    if True in slot:
-        candidates.append((level_ov, slot[True]))
-
-
-def _decision_from(rule: PolicyRule, level: int) -> TransmissionDecision:
-    if rule.policy is PolicyKind.BY_VALUE:
-        depth = rule.depth if rule.depth is not None else UNBOUNDED
-        return by_value(depth, rule.rule_id, level)
-    return by_reference(rule.rule_id, level)
 
 
 _LEVEL_SOURCES = {1: "param rule", 4: "param rule", 3: "class rule", 6: "class rule"}

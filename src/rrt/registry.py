@@ -9,7 +9,7 @@ remotely reachable, independent of local visibility.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -19,6 +19,7 @@ from .errors import (
     DeploymentError,
     GuidCollisionError,
     InvocationError,
+    RegistryIntegrityError,
     ServiceNotFound,
     TypeRegistrationError,
     UnknownMethodError,
@@ -34,8 +35,6 @@ from .model import (
     TypeDescriptor,
     VOID,
     guid_new,
-    is_subtype,
-    supertype_chain,
 )
 
 # A binding applies one method to a live object: binding(obj, args) -> result.
@@ -134,6 +133,9 @@ class RegisteredType:
 
     descriptor: TypeDescriptor
     method_table: MethodTable | None
+    #: The type's own name, then each supertype's up to the root; fixed at
+    #: registration, since descriptors are immutable.
+    lineage: tuple[str, ...]
     py_type: type | None = None
     instantiate: Callable[[], object] | None = None
     factory: Callable[..., object] | None = None
@@ -173,11 +175,15 @@ class TypeRegistry:
             name = descriptor.type_name
             if name in self._types:
                 raise TypeRegistrationError(f"type name already registered: {name}")
+            lineage: tuple[str, ...] = (name,)
             if descriptor.supertype_name is not None:
-                # Also rejects cycles through already-registered ancestors.
-                view = dict(self.descriptor_view())
-                view[name] = descriptor
-                supertype_chain(descriptor, view)
+                # Supertypes register first, so no lineage can hold a cycle.
+                parent = self._types.get(descriptor.supertype_name)
+                if parent is None:
+                    raise RegistryIntegrityError(
+                        f"unresolvable supertype {descriptor.supertype_name!r}"
+                    )
+                lineage += parent.lineage
 
             accessors = synthesize_accessors(descriptor)
             merged = descriptor.with_methods(accessors) if accessors else descriptor
@@ -210,6 +216,7 @@ class TypeRegistry:
             self._types[name] = RegisteredType(
                 descriptor=merged,
                 method_table=merged_table,
+                lineage=lineage,
                 py_type=py_type,
                 instantiate=instantiate,
                 factory=factory,
@@ -251,21 +258,13 @@ class TypeRegistry:
             raise UnregisteredTypeError(f"type {type_name} is not instantiable")
         return rt.instantiate()
 
-    def descriptor_view(self) -> dict[str, TypeDescriptor]:
-        return {name: rt.descriptor for name, rt in self._types.items()}
-
-    def supertype_chain_of(self, type_name: str, *, strict: bool = False) -> list[str]:
+    def supertype_chain_of(self, type_name: str) -> tuple[str, ...]:
+        """The type's lineage, most derived first; an unregistered name alone."""
         rt = self._types.get(type_name)
-        if rt is None:
-            return [type_name]
-        return supertype_chain(rt.descriptor, self.descriptor_view(), strict=strict)
+        return rt.lineage if rt is not None else (type_name,)
 
     def is_subtype_name(self, candidate: str, ancestor: str) -> bool:
-        cand = self._types.get(candidate)
-        anc = self._types.get(ancestor)
-        if cand is None or anc is None:
-            return candidate == ancestor
-        return is_subtype(cand.descriptor, anc.descriptor, self.descriptor_view())
+        return ancestor in self.supertype_chain_of(candidate)
 
     def repr_of(self, value: object) -> str | None:
         name = self._by_class.get(type(value))
@@ -456,9 +455,6 @@ class ServiceRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._by_guid)
-
-    def service_count(self) -> int:
-        return len(self)
 
 
 def _compliant(concrete: TypeDescriptor, wanted: MethodDescriptor) -> bool:

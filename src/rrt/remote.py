@@ -404,7 +404,7 @@ def self_derivation(node, skeleton: Skeleton, ancestor_name: str) -> int:
         return -1
 
 
-def build_rior(node, skeleton: Skeleton, *, with_snapshot: bool = True) -> RIOR:
+def build_rior(node, skeleton: Skeleton) -> RIOR:
     """Serialize-time remote reference for a deployed service.
 
     Smart-proxy information is recorded here, immediately before the
@@ -413,23 +413,21 @@ def build_rior(node, skeleton: Skeleton, *, with_snapshot: bool = True) -> RIOR:
     supertypes) that the interface declares, plus the current field values.
     """
     iface = skeleton.interface_descriptor
-    names: frozenset[str] = frozenset()
+    cached = node.policy.cached_fields_for(
+        node.types.supertype_chain_of(skeleton.concrete_type_name)
+        + node.types.supertype_chain_of(iface.type_name)
+    )
+    names = frozenset(n for n in cached if n in iface.field_names)
     snapshot: dict[str, object] = {}
-    if with_snapshot:
-        lineage = node.types.supertype_chain_of(
-            skeleton.concrete_type_name
-        ) + node.types.supertype_chain_of(iface.type_name)
-        cached = node.policy.cached_fields_for(dict.fromkeys(lineage))
-        names = frozenset(n for n in cached if n in iface.field_names)
-        for fname in sorted(names):
-            value = getattr(skeleton.service_object, fname)
-            snapshot[fname] = codec.encode_value(
-                value,
-                by_value(UNBOUNDED),
-                registry=node.types,
-                deploy_ref=lambda obj, sig: auto_deploy(node, obj, sig),
-                declared_type=iface.field(fname).type_name,
-            )
+    for fname in sorted(names):
+        value = getattr(skeleton.service_object, fname)
+        snapshot[fname] = codec.encode_value(
+            value,
+            by_value(UNBOUNDED),
+            registry=node.types,
+            deploy_ref=lambda obj, sig: auto_deploy(node, obj, sig),
+            declared_type=iface.field(fname).type_name,
+        )
     return RIOR(
         endpoint=node.endpoint,
         guid=skeleton.guid,

@@ -1,8 +1,9 @@
 """Policy-overhead benchmark.
 
 Measures a one-argument, one-return remote call where both the argument and
-the return value travel by reference, with policy resolution bypassed by a
-fixed decision and with a method rule plus a return rule resolved. This is
+the return value travel by reference, with each node's resolver swapped for
+one that returns a fixed decision and with a method rule plus a return rule
+resolved. This is
 the worst case for the policy phase: nothing is serialized, so the rule
 evaluation cost is as visible as it ever gets.
 
@@ -85,8 +86,9 @@ def bench_policy_overhead(
             server.endpoint.host, server.endpoint.port, "echo"
         )
         payload = Payload(7)
+        managers = (server.policy, client.policy)
 
-        for manager in (server.policy, client.policy):
+        for manager in managers:
             manager.set_method_policy(
                 "Echo", "echo", PolicyKind.BY_REFERENCE, UNBOUNDED, False
             )
@@ -95,33 +97,39 @@ def bench_policy_overhead(
             )
         fixed = by_reference()
 
-        def run(decision, n: int) -> float:
-            """Mean ms per call over n calls; a fixed decision skips the rules."""
-            server.policy.fixed_decision = decision
-            client.policy.fixed_decision = decision
+        def fixed_resolve(context):
+            return fixed
+
+        def run(with_policy: bool, n: int) -> float:
+            """Mean ms per call over n calls; without policy, rules are skipped."""
+            for manager in managers:
+                if with_policy:
+                    vars(manager).pop("resolve", None)
+                else:
+                    manager.resolve = fixed_resolve
             start = time.perf_counter()
             for _ in range(n):
                 handle.echo(payload)
             return (time.perf_counter() - start) / n * 1000.0
 
-        run(fixed, warmup)
-        run(None, warmup)
+        run(False, warmup)
+        run(True, warmup)
         blocks = [BLOCK_CALLS] * (calls // BLOCK_CALLS)
         if calls % BLOCK_CALLS:
             blocks.append(calls % BLOCK_CALLS)
         without, with_policy = [], []
         for i, n in enumerate(blocks):
             if i % 2:  # every other block runs the two modes in the other order
-                with_policy.append(run(None, n))
-                without.append(run(fixed, n))
+                with_policy.append(run(True, n))
+                without.append(run(False, n))
             else:
-                without.append(run(fixed, n))
-                with_policy.append(run(None, n))
+                without.append(run(False, n))
+                with_policy.append(run(True, n))
         without_ms = statistics.median(without)
         with_ms = statistics.median(with_policy)
     finally:
-        server.policy.fixed_decision = None
-        client.policy.fixed_decision = None
+        for manager in (pair.a.policy, pair.b.policy):
+            vars(manager).pop("resolve", None)
         if own_pair:
             pair.close()
 

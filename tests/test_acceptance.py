@@ -31,7 +31,7 @@ from rrt.model import (
     guid_new,
 )
 from rrt.policy import CallContext, CallRole, PeerKind, TransmissionPolicyManager
-from rrt.registry import MethodTable
+from rrt.registry import MethodTable, TypeRegistry
 from rrt.remote import Handle, resolve_incoming_rior, build_rior
 from rrt.toolkit import bench_policy_overhead
 from rrt.toolkit.demo import Key, P2PNode, install_demo_policy
@@ -51,12 +51,11 @@ _PARAM_DEPTH = 2
 _METHOD_DEPTH = 5
 
 
-def _a1_lookup(name):
-    view = {
-        "Base": TypeDescriptor("Base"),
-        "Derived": TypeDescriptor("Derived", supertype_name="Base"),
-    }
-    return view.get(name)
+def _a1_types() -> TypeRegistry:
+    types = TypeRegistry()
+    types.register_type(TypeDescriptor("Base"))
+    types.register_type(TypeDescriptor("Derived", supertype_name="Base"))
+    return types
 
 
 def _tier_states(with_subtype_flag: bool):
@@ -137,8 +136,9 @@ def _oracle(tracked, ctx: CallContext):
 def _check_configs(slot_plan, contexts):
     checked = 0
     state_sets = [_tier_states(plan.get("flagged", False)) for plan in slot_plan]
+    types = _a1_types()
     for combo in itertools.product(*state_sets):
-        manager = TransmissionPolicyManager(_a1_lookup)
+        manager = TransmissionPolicyManager(types=types)
         tracked: list[dict] = []
         for plan, state in zip(slot_plan, combo):
             _install(manager, tracked, plan["kind"], state, **plan["where"])

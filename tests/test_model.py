@@ -24,6 +24,7 @@ from rrt.model import (
     service_url,
     supertype_chain,
 )
+from rrt.registry import TypeRegistry
 
 
 class TestGuid:
@@ -169,10 +170,22 @@ class TestSubtyping:
             while cur is not None:
                 closure[name].add(cur)
                 cur = parents[cur]
+        # The same hierarchy registered parents first: lineages computed at
+        # registration agree with the walk and with the closure.
+        types = TypeRegistry()
+        for name in names:
+            types.register_type(view[name])
         for cand in names:
+            assert types.supertype_chain_of(cand) == tuple(supertype_chain(view[cand], view))
             for anc in names:
                 expected = anc in closure[cand]
                 assert is_subtype(view[cand], view[anc], view) == expected
+                assert types.is_subtype_name(cand, anc) == expected
+        # An unregistered name is its own chain and a subtype only of itself.
+        assert types.supertype_chain_of("Ghost") == ("Ghost",)
+        assert types.is_subtype_name("Ghost", "Ghost")
+        assert not types.is_subtype_name("Ghost", names[0])
+        assert not types.is_subtype_name(names[0], "Ghost")
 
     def test_antisymmetry_up_to_name(self):
         view = self.view()

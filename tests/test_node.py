@@ -246,6 +246,14 @@ class TestContentLength:
         resp = invoke(node, "P2P", "getKey")
         assert resp.ok and node.invoke_requests == 1
 
+    @pytest.mark.parametrize("size", [MAX_REQUEST_BYTES + 1, 5 * 1024 * 1024])
+    def test_oversized_body_sent_in_full_reads_413(self, node, size):
+        status, body = http_post(node, "/invoke/P2P", b"x" * size)
+        assert status == 413
+        assert json.loads(body) == {"error": f"request body over {MAX_REQUEST_BYTES} bytes"}
+        assert node.invoke_requests == 0
+        assert http_get(node, "/services")[0] == 200
+
 
 class Relay:
     def bounce(self, peer, hops):

@@ -22,30 +22,34 @@ from rrt.policy import (
     TransmissionPolicyManager,
     describe_decision,
 )
+from rrt.registry import TypeRegistry
+from rrt.toolkit import LocalPair, bench_policy_overhead, register_bench_types
 
 VAL = PolicyKind.BY_VALUE
 REF = PolicyKind.BY_REFERENCE
 
 
-def _lookup_factory():
-    base = TypeDescriptor("Base")
-    derived = TypeDescriptor("Derived", supertype_name="Base")
-    iface = TypeDescriptor(
-        "I",
-        fields=(FieldDescriptor("key", "Key"),),
-        methods=(
-            MethodDescriptor("m", ("Base", "Base")),
-            MethodDescriptor("getLog", (), "string"),
-        ),
-        is_interface=True,
+def _registry() -> TypeRegistry:
+    types = TypeRegistry()
+    types.register_type(TypeDescriptor("Base"))
+    types.register_type(TypeDescriptor("Derived", supertype_name="Base"))
+    types.register_type(
+        TypeDescriptor(
+            "I",
+            fields=(FieldDescriptor("key", "Key"),),
+            methods=(
+                MethodDescriptor("m", ("Base", "Base")),
+                MethodDescriptor("getLog", (), "string"),
+            ),
+            is_interface=True,
+        )
     )
-    view = {d.type_name: d for d in (base, derived, iface)}
-    return view.get
+    return types
 
 
 @pytest.fixture
 def manager():
-    return TransmissionPolicyManager(_lookup_factory())
+    return TransmissionPolicyManager(types=_registry())
 
 
 def arg_ctx(actual="Derived", method="m", index=0, peer=PeerKind.RRT):
@@ -226,7 +230,7 @@ class TestResolve:
             rnd = random.Random(seed)
             shuffled = ops[:]
             rnd.shuffle(shuffled)
-            mgr = TransmissionPolicyManager(_lookup_factory())
+            mgr = TransmissionPolicyManager(types=_registry())
             for op in shuffled:
                 op(mgr)
             key = tuple(
@@ -244,18 +248,29 @@ class TestResolve:
         manager.set_class_policy("Base", VAL, True, True)
         manager.set_method_policy("I", "m", REF, UNBOUNDED, False)
         chain_len = 2  # Derived -> Base
-        before = manager.probe_count
+        manager._rules = table = _CountingTable(manager._rules)
         manager.resolve(arg_ctx(actual="Derived"))
-        assert manager.probe_count - before <= 5 + chain_len
+        assert 0 < table.probes <= 5 + chain_len
 
-    def test_fixed_decision_bypasses_stores(self, manager):
-        from rrt.model import by_reference
+    def test_bench_leaves_no_swapped_resolver(self):
+        with LocalPair(registrars=(register_bench_types,)) as pair:
+            bench_policy_overhead(calls=20, pair=pair, warmup=2)
+            echo_arg = CallContext(CallRole.ARGUMENT, "Echo", "echo", "Payload", PeerKind.RRT, 0)
+            for manager in (pair.a.policy, pair.b.policy):
+                assert "resolve" not in vars(manager)
+                assert manager.resolve(echo_arg).level == 2
+                manager.set_param_policy("Echo", "echo", 0, VAL, 1, False)
+                assert manager.resolve(echo_arg).kind is VAL
 
-        manager.set_class_policy("Derived", VAL, True)
-        manager.fixed_decision = by_reference()
-        before = manager.probe_count
-        assert manager.resolve(arg_ctx()).kind is REF
-        assert manager.probe_count == before
+
+class _CountingTable(dict):
+    """A rule table that counts its lookups: one per probe."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
 
 
 class TestScopedParamRule:
@@ -311,11 +326,11 @@ class TestPolicyFile:
     def test_class_element_equivalent_to_call(self, manager):
         ids = manager.load_policy_file(FIG9_DOC)
         assert len(ids) == 1
-        twin = TransmissionPolicyManager(_lookup_factory())
+        twin = TransmissionPolicyManager(types=_registry())
         twin.set_class_policy("Key", VAL, overridable=True, apply_to_subtypes=True)
         ctx = arg_ctx(actual="Key")
 
-        # "Key" is not registered in the lookup; add it so the class rule matches.
+        # "Key" is not registered; an unregistered name is its own chain.
         def check(mgr):
             got = mgr.resolve(
                 CallContext(
@@ -342,7 +357,7 @@ class TestPolicyFile:
         manager.set_return_value_policy("I", "getLog", VAL, True)
         manager.set_field_to_be_cached("I", "key")
         first = manager.save_policy_file()
-        twin = TransmissionPolicyManager(_lookup_factory())
+        twin = TransmissionPolicyManager(types=_registry())
         twin.load_policy_file(first)
         second = twin.save_policy_file()
         assert first == second

@@ -7,6 +7,7 @@ from rrt.errors import (
     DeploymentError,
     GuidCollisionError,
     InvocationError,
+    RegistryIntegrityError,
     ServiceNotFound,
     TypeRegistrationError,
     UnknownMethodError,
@@ -74,8 +75,11 @@ class TestRegisterType:
 
     def test_unregistered_supertype_rejected(self):
         t = TypeRegistry()
-        with pytest.raises(Exception):
+        with pytest.raises(RegistryIntegrityError, match="Ghost"):
             t.register_type(TypeDescriptor("Child", supertype_name="Ghost"))
+        with pytest.raises(RegistryIntegrityError, match="Self"):
+            t.register_type(TypeDescriptor("Self", supertype_name="Self"))
+        assert t.lookup("Child") is None and t.lookup("Self") is None
 
     def test_returns_type_id(self):
         t = TypeRegistry()
