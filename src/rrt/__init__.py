@@ -36,7 +36,6 @@ from .model import (
     by_reference,
     by_value,
     guid_new,
-    is_subtype,
     service_url,
 )
 from .registry import (
@@ -45,7 +44,6 @@ from .registry import (
     Skeleton,
     TypeRegistry,
     invoke_local,
-    return_type_of,
     synthesize_accessors,
 )
 from .policy import (
@@ -78,10 +76,8 @@ from .remote import (
     resolve_incoming_rior,
 )
 from .node import (
-    FaultPolicyOutcome,
     NodeConfig,
     RRTNode,
-    apply_failure_policy,
     serve,
 )
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
 
-from .errors import RegistryIntegrityError
-
 # Semantic type names understood without registration.
 PRIMITIVE_TYPES = frozenset({"i64", "f64", "bool", "string"})
 VOID = "void"
@@ -162,8 +160,8 @@ class TypeDescriptor:
     """Registered metadata about an application type and its remote surface.
 
     Method names plus arity are unique within one descriptor. The supertype
-    chain is resolved by name against a registry view; it must be acyclic and
-    fully registered before use.
+    is named; the type registry resolves the chain when the type registers,
+    which requires every supertype to be registered first.
     """
 
     type_name: str
@@ -216,45 +214,6 @@ class TypeDescriptor:
             methods=self.methods + tuple(extra),
             is_interface=self.is_interface,
         )
-
-
-def supertype_chain(
-    descriptor: TypeDescriptor,
-    registry_view: Mapping[str, TypeDescriptor],
-    *,
-    strict: bool = True,
-) -> list[str]:
-    """Names on the supertype chain, starting with the descriptor itself.
-
-    ``strict`` controls what happens at an unresolvable supertype name: raise
-    a registry-integrity error, or stop the walk (policy resolution tolerates
-    types known only by wire descriptors).
-    """
-    chain = [descriptor.type_name]
-    seen = {descriptor.type_name}
-    current = descriptor
-    while current.supertype_name is not None:
-        name = current.supertype_name
-        if name in seen:
-            raise RegistryIntegrityError(f"supertype cycle through {name!r}")
-        nxt = registry_view.get(name)
-        if nxt is None:
-            if strict:
-                raise RegistryIntegrityError(f"unresolvable supertype {name!r}")
-            break
-        chain.append(name)
-        seen.add(name)
-        current = nxt
-    return chain
-
-
-def is_subtype(
-    candidate: TypeDescriptor,
-    ancestor: TypeDescriptor,
-    registry_view: Mapping[str, TypeDescriptor],
-) -> bool:
-    """True iff candidate equals ancestor or ancestor is on its supertype chain."""
-    return ancestor.type_name in supertype_chain(candidate, registry_view)
 
 
 @dataclass(frozen=True)

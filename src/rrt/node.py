@@ -59,49 +59,8 @@ class NodeConfig:
     request_timeout: float = 10.0
 
 
-@dataclass(frozen=True)
-class FaultPolicyOutcome:
-    """What the runtime does with a network fault: pass it on, or swallow it."""
-
-    action: str  # "propagate" | "suppress"
-    fault: NetworkFault | None = None
-    default_value: object = None
-    log_record: str | None = None
-
-
-def default_return_value(return_type: str) -> object:
-    """Suppression stand-in per declared return type: 0, false, or null."""
-    if return_type == "i64":
-        return 0
-    if return_type == "f64":
-        return 0.0
-    if return_type == "bool":
-        return False
-    return None
-
-
-def apply_failure_policy(
-    method: MethodDescriptor, failure: NetworkFault, config: NodeConfig
-) -> FaultPolicyOutcome:
-    """Decide a network fault's fate for one method call.
-
-    Methods that declare network faults always see them; otherwise fast-fail
-    nodes propagate (marked), and everything else suppresses to a
-    type-appropriate default plus one log record. Application faults never
-    come through here — they always propagate.
-    """
-    if method.declares_network_fault:
-        return FaultPolicyOutcome(action="propagate", fault=failure)
-    if config.fast_fail:
-        marked = NetworkFault(failure.message, fast_fail=True)
-        return FaultPolicyOutcome(action="propagate", fault=marked)
-    stamp = datetime.now(timezone.utc).isoformat()
-    record = f"{stamp} WARN {method.ident} network {failure.message}"
-    return FaultPolicyOutcome(
-        action="suppress",
-        default_value=default_return_value(method.return_type),
-        log_record=record,
-    )
+#: What a suppressed network fault returns, per declared return type; null otherwise.
+_SUPPRESSED_RETURN = {"i64": 0, "f64": 0.0, "bool": False}
 
 
 class RRTNode:
@@ -128,7 +87,6 @@ class RRTNode:
         self.fault_log: list[str] = []
         self.decision_observer = None
         self.invoke_requests = 0
-        self.describe_requests = 0
         self._counter_lock = threading.Lock()
         self._httpd: _NodeHTTPServer | None = None
         self._thread: threading.Thread | None = None
@@ -243,11 +201,20 @@ class RRTNode:
             observer(role, type_name, decision)
 
     def handle_network_fault(self, method: MethodDescriptor, failure: NetworkFault):
-        outcome = apply_failure_policy(method, failure, self.config)
-        if outcome.action == "propagate":
-            raise outcome.fault
-        self._log(outcome.log_record)
-        return outcome.default_value
+        """Decide a network fault's fate for one method call.
+
+        Methods that declare network faults always see them; otherwise
+        fast-fail nodes raise it marked, and everything else suppresses it to
+        a type-appropriate default plus one log record. Application faults
+        never come through here: they always propagate.
+        """
+        if method.declares_network_fault:
+            raise failure
+        if self.config.fast_fail:
+            raise NetworkFault(failure.message, fast_fail=True)
+        stamp = datetime.now(timezone.utc).isoformat()
+        self._log(f"{stamp} WARN {method.ident} network {failure.message}")
+        return _SUPPRESSED_RETURN.get(method.return_type)
 
     def _log(self, record: str) -> None:
         self.fault_log.append(record)
@@ -259,10 +226,6 @@ class RRTNode:
         else:
             with open(sink, "a", encoding="utf-8") as fh:
                 fh.write(record + "\n")
-
-    def _count(self, attr: str) -> None:
-        with self._counter_lock:
-            setattr(self, attr, getattr(self, attr) + 1)
 
     # -- endpoint bodies ---------------------------------------------------------
 
@@ -316,7 +279,8 @@ class RRTNode:
 
     def handle_invoke(self, service_id: str, body: bytes) -> Response:
         """Decode, dispatch, and encode one invocation; faults become envelopes."""
-        self._count("invoke_requests")
+        with self._counter_lock:
+            self.invoke_requests += 1
         try:
             request = codec.decode_request(body)
             skeleton = self.services.lookup(service_id)
@@ -444,7 +408,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(404, {"error": f"no such endpoint: {path}"})
 
     def _describe(self, node: RRTNode, service_id: str) -> None:
-        node._count("describe_requests")
         try:
             self._send_json(200, node.describe_service(service_id))
         except ServiceNotFound as exc:

@@ -295,9 +295,6 @@ class TransmissionPolicyManager:
         with self._lock:
             return sorted(self._rules.get(key, _EMPTY).values(), key=lambda r: r.rule_id)
 
-    def get_cached_fields(self, type_name: str) -> set[str]:
-        return self.cached_fields_for((type_name,))
-
     def cached_fields_for(self, type_names: Iterable[str]) -> set[str]:
         """Union of cache-rule field names over several type names."""
         with self._lock:
@@ -311,12 +308,6 @@ class TransmissionPolicyManager:
         with self._lock:
             rules = [r for slot in self._rules.values() for r in slot.values()]
         return sorted(rules, key=lambda r: r.rule_id)
-
-    def rule_by_id(self, rule_id: int) -> PolicyRule | None:
-        for r in self.all_rules():
-            if r.rule_id == rule_id:
-                return r
-        return None
 
     def remove_rule(self, rule_id: int) -> bool:
         with self._lock:

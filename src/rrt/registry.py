@@ -1,9 +1,9 @@
 """Server-side deployment: type registration, the service map, and skeleton dispatch.
 
 Method dispatch never probes live objects at call time: every invokable method
-gets a binding callable at registration, and a skeleton restricts a concrete
-type's table to its deployment interface. Only interface-listed methods are
-remotely reachable, independent of local visibility.
+gets a binding callable at registration, and a skeleton dispatches through its
+concrete type's table. Only interface-listed methods are remotely reachable,
+independent of local visibility.
 """
 
 from __future__ import annotations
@@ -52,17 +52,6 @@ class MethodTable:
 
     def get(self, name: str, arity: int) -> Binding | None:
         return self.bindings.get((name, arity))
-
-    def restricted_to(self, descriptor: TypeDescriptor) -> "MethodTable":
-        table = MethodTable()
-        for m in descriptor.methods:
-            fn = self.get(m.name, m.arity)
-            if fn is None:
-                raise TypeRegistrationError(
-                    f"no binding for interface method {m.ident}"
-                )
-            table.bind(m.name, m.arity, fn)
-        return table
 
     @classmethod
     def for_class(cls, py_type: type, descriptor: TypeDescriptor) -> "MethodTable":
@@ -125,6 +114,31 @@ def synthesize_accessors(descriptor: TypeDescriptor) -> list[MethodDescriptor]:
         elif existing.params != setter.params or existing.return_type != VOID:
             out.append(MethodDescriptor(f"{setter.name}_field", (f.type_name,), VOID))
     return out
+
+
+def accessor_of(
+    descriptor: TypeDescriptor, method: MethodDescriptor
+) -> tuple[str, str] | None:
+    """("get" | "set", field) when the method is an accessor of one of the
+    descriptor's fields, else None.
+
+    The name must be get_<f> or set_<f>, or the get_<f>_field / set_<f>_field
+    fallback that ``synthesize_accessors`` uses on a collision, and the shape
+    must fit the field: a getter takes nothing and returns the field's type,
+    a setter takes the field's type and returns void.
+    """
+    op, _, rest = method.name.partition("_")
+    if op == "get" and method.arity == 0:
+        field_type = method.return_type
+    elif op == "set" and method.arity == 1 and method.return_type == VOID:
+        field_type = method.params[0]
+    else:
+        return None
+    for fname in (rest, rest.removesuffix("_field")):
+        f = descriptor.field(fname)
+        if f is not None and f.type_name == field_type:
+            return op, fname
+    return None
 
 
 @dataclass
@@ -196,13 +210,12 @@ class TypeRegistry:
                 for m in merged.methods:
                     if merged_table.get(m.name, m.arity) is not None:
                         continue
-                    fname = _accessor_field(merged, m)
-                    if fname is None:
+                    accessor = accessor_of(merged, m)
+                    if accessor is None:
                         continue
-                    if m.arity == 0:
-                        merged_table.bind(m.name, 0, _field_get_binding(fname))
-                    else:
-                        merged_table.bind(m.name, 1, _field_set_binding(fname))
+                    op, fname = accessor
+                    binding = _field_get_binding if op == "get" else _field_set_binding
+                    merged_table.bind(m.name, m.arity, binding(fname))
                 for m in merged.methods:
                     if merged_table.get(m.name, m.arity) is None:
                         raise TypeRegistrationError(
@@ -274,19 +287,6 @@ class TypeRegistry:
         return fn(value) if fn else None
 
 
-def _accessor_field(descriptor: TypeDescriptor, method: MethodDescriptor) -> str | None:
-    """Field a method reads or writes, if it has accessor shape; else None."""
-    for prefix, arity in (("get_", 0), ("set_", 1)):
-        if method.name.startswith(prefix) and method.arity == arity:
-            fname = method.name[len(prefix):]
-            if fname.endswith("_field"):
-                fname = fname[: -len("_field")]
-            f = descriptor.field(fname)
-            if f is not None:
-                return fname
-    return None
-
-
 def _bare_constructor(py_type: type) -> Callable[[], object]:
     def make() -> object:
         return object.__new__(py_type)
@@ -298,8 +298,9 @@ def _bare_constructor(py_type: type) -> Callable[[], object]:
 class Skeleton:
     """Server-side binding of one deployed service to its live object.
 
-    One skeleton per deployed service; the method table is the concrete
-    type's table restricted to the deployment interface.
+    One skeleton per deployed service. It shares its concrete type's method
+    table; ``invoke_local`` admits only the deployment interface's methods,
+    and deploy's compliance check ensures each of them has a binding.
     """
 
     service_object: object
@@ -360,13 +361,12 @@ class ServiceRegistry:
 
             concrete_rt = self.types.lookup(concrete.type_name)
             assert concrete_rt is not None and concrete_rt.method_table is not None
-            table = concrete_rt.method_table.restricted_to(iface)
 
             self._seq += 1
             skeleton = Skeleton(
                 service_object=obj,
                 interface_descriptor=iface,
-                method_table=table,
+                method_table=concrete_rt.method_table,
                 guid=guid,
                 service_name=name,
                 concrete_type_name=concrete.type_name,
@@ -487,7 +487,7 @@ def invoke_local(skeleton: Skeleton, method: str, args: Sequence[object]) -> obj
         )
     _check_args(md, args)
     binding = skeleton.method_table.get(method, len(args))
-    assert binding is not None  # restricted_to guarantees coverage
+    assert binding is not None  # deploy checked that the concrete type has it
     try:
         return binding(skeleton.service_object, list(args))
     except Exception as exc:  # noqa: BLE001 - captured as a structured fault
@@ -514,15 +514,3 @@ def _check_args(md: MethodDescriptor, args: Sequence[object]) -> None:
                 f"{md.ident}: argument {i} must be {ptype}, "
                 f"got {type(value).__name__}"
             )
-
-
-def return_type_of(skeleton: Skeleton, method: str) -> str:
-    """Declared return type of an interface method; the automatic-deployment
-    signature type."""
-    for m in skeleton.interface_descriptor.methods:
-        if m.name == method:
-            return m.return_type
-    raise UnknownMethodError(
-        f"method {method!r} not in deployment interface "
-        f"{skeleton.interface_descriptor.type_name}"
-    )

@@ -3,8 +3,11 @@ resolution, smart-proxy field caching, automatic deployment, and outbound
 method invocation.
 
 Functions here take the owning runtime node as their first argument; a node
-provides `types`, `services`, `policy`, `proxy_cache`, `endpoint`, `config`,
-plus `handle_network_fault` and `observe_decision` hooks.
+provides `types`, `services`, `policy`, `proxy_cache`, `http`, `endpoint` and
+`config`, plus `handle_network_fault` and `observe_decision` hooks. Every
+outbound request goes through the node's `HttpClient`. A handle serves the
+accessors of its cached fields from its snapshot; `registry.accessor_of`
+decides which methods those are.
 """
 
 from __future__ import annotations
@@ -35,9 +38,7 @@ from .model import (
     by_value,
 )
 from .policy import CallContext, CallRole, PeerKind
-from .registry import Skeleton
-
-Transport = Callable[[Request], Response]
+from .registry import Skeleton, accessor_of
 
 DEFAULT_TIMEOUT = 10.0
 IDLE_PER_ENDPOINT = 4  # idle keep-alive connections kept per endpoint
@@ -146,16 +147,12 @@ class Handle(RemoteProxyBase):
     A handle presents exactly the methods of the reference's deployment
     interface; attribute access on an interface method yields a callable that
     forwards over the wire. Accessors for cached fields are served from the
-    local snapshot and never touch the network. ``call_counter`` counts
-    transport sends (test instrumentation). Sends go through the node's
-    ``HttpClient`` unless a ``transport`` is given.
+    local snapshot and never touch the network.
     """
 
-    def __init__(self, rior: RIOR, node, transport: Transport | None = None):
+    def __init__(self, rior: RIOR, node):
         self.rior = rior
-        self.call_counter = 0
         self._node = node
-        self._transport = transport or self._post
         self._cache_lock = threading.Lock()
         self.cached_fields: dict[str, object] = {
             name: codec.decode_value(
@@ -165,6 +162,14 @@ class Handle(RemoteProxyBase):
             )
             for name, doc in rior.cached_field_snapshot.items()
         }
+        # (method, arity) -> (op, field) for the accessors served locally.
+        self._accessors: dict[tuple[str, int], tuple[str, str]] = {}
+        if self.cached_fields:
+            iface = rior.interface_descriptor
+            for m in iface.methods:
+                accessor = accessor_of(iface, m)
+                if accessor is not None and accessor[1] in self.cached_fields:
+                    self._accessors[(m.name, m.arity)] = accessor
 
     @property
     def interface_name(self) -> str:
@@ -172,10 +177,6 @@ class Handle(RemoteProxyBase):
 
     def invoke(self, method: str, args: Sequence[object] = ()) -> object:
         return remote_invoke(self._node, self, method, list(args))
-
-    def _send(self, request: Request) -> Response:
-        self.call_counter += 1
-        return self._transport(request)
 
     def _post(self, request: Request) -> Response:
         status, raw = self._node.http.request(
@@ -188,14 +189,6 @@ class Handle(RemoteProxyBase):
             text = raw.decode("utf-8", "replace")
             raise ProtocolError(f"invoke returned HTTP {status}: {text}")
         return codec.decode_response(raw)
-
-    def _cached_accessor(self, method: str) -> tuple[str, str] | None:
-        """(op, field) when the method is a local accessor for a cached field."""
-        for op in ("get", "set"):
-            prefix = f"{op}_"
-            if method.startswith(prefix) and method[len(prefix):] in self.cached_fields:
-                return op, method[len(prefix):]
-        return None
 
     def __getattr__(self, name: str):
         try:
@@ -223,12 +216,14 @@ class ProxyCache:
         self._lock = threading.Lock()
 
     def get_or_create(self, guid: GUID, factory: Callable[[], Handle]) -> Handle:
-        with self._lock:
-            handle = self._handles.get(guid)
-            if handle is None:
-                handle = factory()
-                self._handles[guid] = handle
+        handle = self.get(guid)
+        if handle is not None:
             return handle
+        # Built unlocked: a handle's snapshot can hold references, which come
+        # back here. The first handle published for a GUID is the one kept.
+        handle = factory()
+        with self._lock:
+            return self._handles.setdefault(guid, handle)
 
     def get(self, guid: GUID) -> Handle | None:
         with self._lock:
@@ -293,6 +288,14 @@ def remote_invoke(node, handle: Handle, method: str, args: list) -> object:
     request, sends it, and decodes the response. Application faults re-raise
     locally; network faults follow the node's failure policy.
     """
+    accessor = handle._accessors.get((method, len(args)))
+    if accessor is not None:
+        op, fname = accessor
+        with handle._cache_lock:
+            if op == "get":
+                return handle.cached_fields[fname]
+            handle.cached_fields[fname] = args[0]
+            return None
     iface = handle.rior.interface_descriptor
     md = iface.find_method(method, len(args))
     if md is None:
@@ -300,15 +303,6 @@ def remote_invoke(node, handle: Handle, method: str, args: list) -> object:
             f"method {method!r}/{len(args)} not in deployment interface "
             f"{iface.type_name}"
         )
-    accessor = handle._cached_accessor(method)
-    if accessor is not None:
-        op, fname = accessor
-        with handle._cache_lock:
-            if op == "get" and not args:
-                return handle.cached_fields[fname]
-            if op == "set" and len(args) == 1:
-                handle.cached_fields[fname] = args[0]
-                return None
 
     encoder = codec.MessageEncoder(
         node.types, deploy_ref=lambda obj, sig: auto_deploy(node, obj, sig)
@@ -334,7 +328,7 @@ def remote_invoke(node, handle: Handle, method: str, args: list) -> object:
         peer_kind="rrt",
     )
     try:
-        response = handle._send(request)
+        response = handle._post(request)
     except NetworkFault as fault:
         return node.handle_network_fault(md, fault)
     if response.ok:

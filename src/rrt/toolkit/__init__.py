@@ -11,7 +11,7 @@ from .demo import (
     p2p_demo,
     register_demo_types,
 )
-from .harness import LocalPair, SeededGuidSource, spawn_local_pair
+from .harness import LocalPair, SeededGuidSource
 
 __all__ = [
     "BenchReport",
@@ -27,5 +27,4 @@ __all__ = [
     "register_demo_types",
     "LocalPair",
     "SeededGuidSource",
-    "spawn_local_pair",
 ]

@@ -54,8 +54,3 @@ class LocalPair:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def spawn_local_pair(**kwargs) -> LocalPair:
-    """Start a connected (node A, node B) pair; close() stops both."""
-    return LocalPair(**kwargs)

@@ -1,12 +1,16 @@
-"""Shared test machinery: random graph and envelope generators plus the
-pointer-shape equality oracle used to judge codec round trips."""
+"""Shared test machinery: random graph and envelope generators, the
+pointer-shape equality oracle used to judge codec round trips, the supertype
+walk that registration-time lineages are checked against, and a counter of
+the requests a node sends."""
 
 from __future__ import annotations
 
 import random
 import string
+from typing import Mapping
 
 from rrt.codec import Fault, Request, Response, rior_to_doc
+from rrt.errors import RegistryIntegrityError
 from rrt.model import (
     RIOR,
     Endpoint,
@@ -260,3 +264,61 @@ def gen_response(rnd: random.Random) -> Response:
             "went sideways: " + _name(rnd),
         ),
     )
+
+
+# -- subtyping oracle ---------------------------------------------------------
+
+
+def supertype_chain(
+    descriptor: TypeDescriptor,
+    registry_view: Mapping[str, TypeDescriptor],
+    *,
+    strict: bool = True,
+) -> list[str]:
+    """Names on the supertype chain, starting with the descriptor itself.
+
+    ``strict`` controls what happens at an unresolvable supertype name: raise
+    a registry-integrity error, or stop the walk.
+    """
+    chain = [descriptor.type_name]
+    seen = {descriptor.type_name}
+    current = descriptor
+    while current.supertype_name is not None:
+        name = current.supertype_name
+        if name in seen:
+            raise RegistryIntegrityError(f"supertype cycle through {name!r}")
+        nxt = registry_view.get(name)
+        if nxt is None:
+            if strict:
+                raise RegistryIntegrityError(f"unresolvable supertype {name!r}")
+            break
+        chain.append(name)
+        seen.add(name)
+        current = nxt
+    return chain
+
+
+def is_subtype(
+    candidate: TypeDescriptor,
+    ancestor: TypeDescriptor,
+    registry_view: Mapping[str, TypeDescriptor],
+) -> bool:
+    """True iff candidate equals ancestor or ancestor is on its supertype chain."""
+    return ancestor.type_name in supertype_chain(candidate, registry_view)
+
+
+# -- wire traffic ---------------------------------------------------------------
+
+
+class SendCounter:
+    """Counts the requests a node's HTTP client sends from now on."""
+
+    def __init__(self, node):
+        self.count = 0
+        send = node.http.request
+
+        def counting(*args, **kwargs):
+            self.count += 1
+            return send(*args, **kwargs)
+
+        node.http.request = counting

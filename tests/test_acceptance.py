@@ -268,10 +268,10 @@ def test_a4_smart_proxy(pair):
     )
 
     invoke_hits = pair.a.invoke_requests
-    sends = handle.call_counter
+    sends = support.SendCounter(pair.b)
     got = handle.get_key()
     assert pair.a.invoke_requests == invoke_hits, "cached read used the invoke endpoint"
-    assert handle.call_counter == sends
+    assert sends.count == 0
     assert isinstance(got, Key) and got.value == "node-key"
 
     # No coherency: a local set leaves the deployed object untouched.

@@ -20,11 +20,10 @@ from rrt.model import (
     by_reference,
     by_value,
     guid_new,
-    is_subtype,
     service_url,
-    supertype_chain,
 )
 from rrt.registry import TypeRegistry
+from support import is_subtype, supertype_chain
 
 
 class TestGuid:

@@ -10,13 +10,7 @@ import pytest
 from rrt.codec import Request, decode_response, encode_request
 from rrt.errors import ConfigError, NetworkFault
 from rrt.model import MethodDescriptor, PolicyKind, TypeDescriptor
-from rrt.node import (
-    MAX_REQUEST_BYTES,
-    NodeConfig,
-    apply_failure_policy,
-    default_return_value,
-    serve,
-)
+from rrt.node import MAX_REQUEST_BYTES, NodeConfig, RRTNode, serve
 from rrt.registry import MethodTable, TypeRegistry
 from rrt.toolkit.demo import Key, P2PNode, register_demo_types
 from support import prim
@@ -364,33 +358,38 @@ class TestFailurePolicy:
 
     def test_declared_fault_propagates(self):
         md = MethodDescriptor("sync", (), "void", declares_network_fault=True)
-        outcome = apply_failure_policy(md, NetworkFault("down"), NodeConfig())
-        assert outcome.action == "propagate"
-        assert outcome.fault.fast_fail is False
+        fault = NetworkFault("down")
+        with pytest.raises(NetworkFault) as info:
+            RRTNode().handle_network_fault(md, fault)
+        assert info.value is fault
+        assert info.value.fast_fail is False
 
     def test_fast_fail_propagates_marked(self):
-        outcome = apply_failure_policy(
-            self.METHODS["void"], NetworkFault("down"), NodeConfig(fast_fail=True)
-        )
-        assert outcome.action == "propagate"
-        assert outcome.fault.fast_fail is True
+        node = RRTNode(NodeConfig(fast_fail=True))
+        with pytest.raises(NetworkFault) as info:
+            node.handle_network_fault(self.METHODS["void"], NetworkFault("down"))
+        assert info.value.fast_fail is True
+        assert info.value.message == "down"
 
     @pytest.mark.parametrize(
         "rt,expected", [("i64", 0), ("f64", 0.0), ("bool", False), ("string", None),
                         ("void", None), ("Key", None)]
     )
     def test_default_values(self, rt, expected):
-        assert default_return_value(rt) == expected
+        md = MethodDescriptor("m", (), rt)
+        got = RRTNode().handle_network_fault(md, NetworkFault("down"))
+        assert got == expected and type(got) is type(expected)
 
     def test_suppression_record_contents(self):
-        outcome = apply_failure_policy(
-            self.METHODS["i64"], NetworkFault("host unreachable"), NodeConfig()
+        node = RRTNode()
+        got = node.handle_network_fault(
+            self.METHODS["i64"], NetworkFault("host unreachable")
         )
-        assert outcome.action == "suppress"
-        assert outcome.default_value == 0
-        assert "count/0" in outcome.log_record
-        assert "host unreachable" in outcome.log_record
-        assert "network" in outcome.log_record
+        assert got == 0
+        [record] = node.fault_log
+        assert "count/0" in record
+        assert "host unreachable" in record
+        assert "network" in record
 
     def test_node_logs_each_suppression_once(self, node_factory, tmp_path):
         sink = tmp_path / "faults.log"

@@ -90,7 +90,7 @@ class TestRuleStores:
         assert [r.rule_id for r in manager.get_param_policy("I", "m", 1)] == [rid_p]
 
         manager.set_field_to_be_cached("I", "key")
-        assert manager.get_cached_fields("I") == {"key"}
+        assert manager.cached_fields_for(("I",)) == {"key"}
 
     def test_last_writer_wins_within_tier(self, manager):
         manager.set_class_policy("Key", VAL, overridable=True)

@@ -24,8 +24,8 @@ from rrt.registry import (
     MethodTable,
     ServiceRegistry,
     TypeRegistry,
+    accessor_of,
     invoke_local,
-    return_type_of,
     synthesize_accessors,
 )
 from rrt.toolkit.demo import (
@@ -108,6 +108,39 @@ class TestAccessorSynthesis:
         )
         names = [m.name for m in synthesize_accessors(desc)]
         assert names == ["get_x_field", "set_x"]
+
+    @pytest.mark.parametrize(
+        "method,expected",
+        [
+            (MethodDescriptor("get_x", (), "i64"), ("get", "x")),
+            (MethodDescriptor("set_x", ("i64",), "void"), ("set", "x")),
+            (MethodDescriptor("get_x_field", (), "i64"), ("get", "x")),
+            (MethodDescriptor("set_x_field", ("i64",), "void"), ("set", "x")),
+            (MethodDescriptor("get_x", (), "string"), None),
+            (MethodDescriptor("get_x", ("i64",), "i64"), None),
+            (MethodDescriptor("set_x", ("string",), "void"), None),
+            (MethodDescriptor("set_x", ("i64",), "i64"), None),
+            (MethodDescriptor("get_y", (), "i64"), None),
+            (MethodDescriptor("x", (), "i64"), None),
+        ],
+        ids=lambda v: (
+            f"{v.name}({','.join(v.params)})->{v.return_type}"
+            if isinstance(v, MethodDescriptor)
+            else str(v)
+        ),
+    )
+    def test_accessor_of_checks_name_and_shape(self, method, expected):
+        desc = TypeDescriptor("T", fields=(FieldDescriptor("x", "i64"),))
+        assert accessor_of(desc, method) == expected
+
+    def test_misshaped_accessor_needs_a_binding(self):
+        desc = TypeDescriptor(
+            "T",
+            fields=(FieldDescriptor("x", "i64"),),
+            methods=(MethodDescriptor("get_x", (), "string"),),
+        )
+        with pytest.raises(TypeRegistrationError, match="get_x/0"):
+            TypeRegistry().register_type(desc)
 
     def test_idempotent_on_registered_descriptor(self, types):
         # Registration already merged the accessors; a second pass adds nothing.
@@ -310,16 +343,23 @@ class TestInvokeLocal:
 
 
 class TestReturnType:
+    """The deployment interface declares each method's return type, which is
+    the signature type of an auto-deployed return value."""
+
+    @staticmethod
+    def return_type(skeleton, method, arity):
+        return skeleton.interface_descriptor.find_method(method, arity).return_type
+
     def test_examples(self, services):
         node = P2PNode(Key("k"))
         services.deploy(node, IP2PNODE, "P2P")
         services.deploy(node, IMONITOR, "Monitor")
         services.deploy(node, IMANAGE, "Manage")
-        assert return_type_of(services.lookup("P2P"), "getKey") == "Key"
-        assert return_type_of(services.lookup("Monitor"), "getLog") == "string"
-        assert return_type_of(services.lookup("Manage"), "stop") == "void"
+        assert self.return_type(services.lookup("P2P"), "getKey", 0) == "Key"
+        assert self.return_type(services.lookup("Monitor"), "getLog", 0) == "string"
+        assert self.return_type(services.lookup("Manage"), "stop", 0) == "void"
 
     def test_unknown_method(self, services):
         services.deploy(P2PNode(Key("k")), IMANAGE, "Manage")
-        with pytest.raises(UnknownMethodError):
-            return_type_of(services.lookup("Manage"), "route")
+        iface = services.lookup("Manage").interface_descriptor
+        assert not iface.has_method_named("route")

@@ -19,6 +19,7 @@ from rrt.errors import (
 from rrt.model import (
     UNBOUNDED,
     Endpoint,
+    FieldDescriptor,
     MethodDescriptor,
     PolicyKind,
     TypeDescriptor,
@@ -145,12 +146,12 @@ class TestRemoteInvoke:
         handle.addPeer(handle)
         assert deployed.peers[-1] is deployed
 
-    def test_call_counter_counts_transport(self, pair, deployed):
+    def test_wire_call_sends_one_request(self, pair, deployed):
         host, port = a_addr(pair)
         handle = pair.b.get_object_by_name(host, port, "P2P")
-        before = handle.call_counter
+        sends = support.SendCounter(pair.b)
         handle.getKey()
-        assert handle.call_counter == before + 1
+        assert sends.count == 1
 
 
 class TestSmartProxy:
@@ -163,11 +164,11 @@ class TestSmartProxy:
 
     def test_cached_get_without_transport(self, pair, deployed, smart_handle):
         invokes = pair.a.invoke_requests
-        sends = smart_handle.call_counter
+        sends = support.SendCounter(pair.b)
         key = smart_handle.get_key()
         assert key.value == "node-key"
         assert pair.a.invoke_requests == invokes
-        assert smart_handle.call_counter == sends
+        assert sends.count == 0
 
     def test_cached_matches_remote_snapshot(self, pair, deployed, smart_handle):
         cached = smart_handle.get_key()
@@ -183,9 +184,129 @@ class TestSmartProxy:
         assert smart_handle.get_key().value == "local-only"
 
     def test_uncached_methods_still_remote(self, pair, deployed, smart_handle):
-        before = smart_handle.call_counter
+        sends = support.SendCounter(pair.b)
         smart_handle.getKey()
-        assert smart_handle.call_counter == before + 1
+        assert sends.count == 1
+
+
+class Sized:
+    """A cached i64 field whose get_/set_ names belong to declared methods."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def get_size(self) -> str:
+        return f"size is {self.size}"
+
+    def set_size(self, text: str) -> None:
+        self.size = len(text)
+
+
+SIZED = TypeDescriptor(
+    "Sized",
+    fields=(FieldDescriptor("size", "i64"),),
+    methods=(
+        MethodDescriptor("get_size", (), "string"),
+        MethodDescriptor("set_size", ("string",), "void"),
+    ),
+)
+
+
+def register_sized(types):
+    types.register_type(SIZED, MethodTable.for_class(Sized, SIZED), py_type=Sized)
+
+
+class TestAccessorCollision:
+    """Declared methods named like accessors but shaped otherwise go on the
+    wire; the synthesized *_field accessors are the ones served locally."""
+
+    @pytest.fixture
+    def sized(self):
+        with LocalPair(seed=5, registrars=(register_sized,)) as pair:
+            for node in (pair.a, pair.b):
+                node.policy.set_field_to_be_cached("Sized", "size")
+            obj = Sized(3)
+            pair.a.deploy(obj, None, "sized")
+            handle = pair.b.get_object_by_name(*a_addr(pair), "sized")
+            yield pair, obj, handle
+
+    def test_declared_getter_goes_on_the_wire(self, sized):
+        pair, _, handle = sized
+        invokes = pair.a.invoke_requests
+        sends = support.SendCounter(pair.b)
+        assert handle.get_size() == "size is 3"
+        assert pair.a.invoke_requests == invokes + 1
+        assert sends.count == 1
+
+    def test_field_getter_served_from_snapshot(self, sized):
+        pair, _, handle = sized
+        invokes = pair.a.invoke_requests
+        sends = support.SendCounter(pair.b)
+        assert handle.get_size_field() == 3
+        assert pair.a.invoke_requests == invokes
+        assert sends.count == 0
+
+    def test_declared_setter_goes_on_the_wire(self, sized):
+        pair, obj, handle = sized
+        invokes = pair.a.invoke_requests
+        assert handle.set_size("abcd") is None
+        assert pair.a.invoke_requests == invokes + 1
+        assert obj.size == 4
+        assert handle.get_size_field() == 3  # no coherency
+
+    def test_field_setter_stays_local(self, sized):
+        pair, obj, handle = sized
+        invokes = pair.a.invoke_requests
+        sends = support.SendCounter(pair.b)
+        assert handle.set_size_field(7) is None
+        assert handle.get_size_field() == 7
+        assert pair.a.invoke_requests == invokes
+        assert sends.count == 0
+        assert obj.size == 3
+
+
+class Holder:
+    def __init__(self, peer=None):
+        self.peer = peer
+
+
+HOLDER = TypeDescriptor("Holder", fields=(FieldDescriptor("peer", "IP2PNode"),))
+
+
+def register_holder(types):
+    types.register_type(HOLDER, py_type=Holder)
+
+
+class TestProxyCache:
+    def test_reference_in_snapshot_resolves(self, node_factory):
+        # B builds A's holder handle, whose snapshot holds a reference to C's
+        # service: building one handle creates another in the same cache.
+        registrars = (register_demo_types, register_holder)
+        a, b, c = (node_factory(registrars=registrars) for _ in range(3))
+        c.deploy(P2PNode(Key("c-key")), "IP2PNode", "P2P")
+        peer = a.get_object_by_name(c.endpoint.host, c.endpoint.port, "P2P")
+        a.policy.set_field_to_be_cached("Holder", "peer")
+        a.deploy(Holder(peer), None, "holder")
+
+        got = []
+        fetch = threading.Thread(
+            target=lambda: got.append(
+                b.get_object_by_name(a.endpoint.host, a.endpoint.port, "holder")
+            ),
+            daemon=True,
+        )
+        fetch.start()
+        fetch.join(5)
+        assert not fetch.is_alive(), "get_object_by_name did not return"
+
+        [holder] = got
+        sends = support.SendCounter(b)
+        peer_on_b = holder.get_peer()
+        assert sends.count == 0
+        assert isinstance(peer_on_b, Handle)
+        assert peer_on_b.rior.guid == peer.rior.guid
+        assert b.get_object_by_name(c.endpoint.host, c.endpoint.port, "P2P") is peer_on_b
+        assert peer_on_b.getKey().get_value() == "c-key"
 
 
 class TestAutoDeploy:

@@ -12,7 +12,6 @@ from rrt.toolkit import (
     bench_policy_overhead,
     p2p_demo,
     register_demo_types,
-    spawn_local_pair,
 )
 from rrt.toolkit.cli import main
 from rrt.toolkit.demo import Key, Message, P2PNode
@@ -21,13 +20,13 @@ from rrt.toolkit.harness import SeededGuidSource
 
 class TestHarness:
     def test_pair_starts_empty(self):
-        with spawn_local_pair(registrars=(register_demo_types,)) as pair:
+        with LocalPair(registrars=(register_demo_types,)) as pair:
             assert len(pair.a.services) == 0
             assert len(pair.b.services) == 0
             assert pair.a.endpoint.port != pair.b.endpoint.port
 
     def test_cross_node_invocation_matches_local(self):
-        with spawn_local_pair(registrars=(register_demo_types,)) as pair:
+        with LocalPair(registrars=(register_demo_types,)) as pair:
             node_obj = P2PNode(Key("k"))
             pair.a.deploy(node_obj, "IMonitor", "Monitor")
             node_obj.route(Key("x"), Message("m"))
