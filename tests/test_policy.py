@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +317,25 @@ class TestScopedParamRule:
         assert manager.all_rules() == []
 
 
+GOLDEN_DOC = Path(__file__).parent / "data" / "policy_v1.xml"
+
+
+def install_golden_rules(manager):
+    """Every rule kind, both overridabilities, both policies, a numeric depth,
+    and ``subclasses`` both true and false."""
+    manager.set_class_policy("Key", VAL, True, apply_to_subtypes=True)
+    manager.set_class_policy("Base", REF, False)
+    manager.set_method_policy("I", "m", VAL, 3, False)
+    manager.set_method_policy("I", "m", REF, UNBOUNDED, True)
+    manager.set_return_value_policy("I", "getLog", VAL, True)
+    manager.set_return_value_policy("I", "getLog", REF, False)
+    manager.set_param_policy("I", "m", 0, VAL, UNBOUNDED, True)
+    manager.set_param_policy("I", "m", 1, REF, 2, False)
+    manager.set_param_policy("I", "m", 1, VAL, 5, True)
+    manager.set_field_to_be_cached("I", "key")
+    manager.set_field_to_be_cached("Key", "value")
+
+
 FIG9_DOC = """<?xml version="1.0" encoding="UTF-8"?>
 <policies>
   <class name="Key" policy="BY_VALUE" overridable="true" subclasses="true"/>
@@ -362,6 +383,19 @@ class TestPolicyFile:
         second = twin.save_policy_file()
         assert first == second
 
+    def test_golden_document(self, manager):
+        install_golden_rules(manager)
+        saved = manager.save_policy_file()
+        assert saved.encode("utf-8") == GOLDEN_DOC.read_bytes()
+        twin = TransmissionPolicyManager(types=_registry())
+        twin.load_policy_file(saved)
+        assert twin.save_policy_file() == saved
+
+        def unnumbered(m):
+            return [dataclasses.replace(r, rule_id=0) for r in m.all_rules()]
+
+        assert unnumbered(twin) == unnumbered(manager)
+
     def test_all_rule_kinds_round_trip(self, manager):
         manager.set_method_policy("I", "m", VAL, 7, False)
         doc = manager.save_policy_file()
@@ -396,6 +430,39 @@ class TestPolicyFile:
                 "bogus",
             ),
             ("<policies", "malformed"),
+            (
+                "<policies><method class='I' name='m' policy='BY_VALUE' depth='0'"
+                " overridable='true'/></policies>",
+                "^element 1 <method>: depth must be positive: 0$",
+            ),
+            (
+                "<policies><class name='' policy='BY_VALUE' overridable='true'/></policies>",
+                "^element 1 <class>: rule requires a type name$",
+            ),
+            (
+                "<policies><method class='I' name='' policy='BY_VALUE' depth='1'"
+                " overridable='true'/></policies>",
+                "^element 1 <method>: method rule requires a method name$",
+            ),
+            (
+                "<policies><param class='' method='' index='-1' policy='BY_VALUE'"
+                " depth='1' overridable='true'/></policies>",
+                "^element 1 <param>: parameter index must be >= 0$",
+            ),
+            (
+                "<policies><param class='I' method='m' index='q' policy='NOPE' depth='x'"
+                " overridable='maybe'/></policies>",
+                "^element 1 <param>: bad index 'q'$",
+            ),
+            (
+                "<policies><cache class='' field=''/></policies>",
+                "^element 1 <cache>: cache rule requires a field name$",
+            ),
+            (
+                "<policies><return class='I' method='getLog' policy='BY_VALUE' depth='1'"
+                " overridable='true'/></policies>",
+                r"^element 1 <return>: unknown attribute\(s\): depth$",
+            ),
         ],
     )
     def test_schema_violations(self, manager, doc, fragment):
