@@ -46,6 +46,8 @@ from .registry import TypeRegistry
 
 
 class RuleKind(Enum):
+    """A rule kind; its value is the kind's policy-file element name."""
+
     CLASS = "class"
     METHOD = "method"
     RETURN = "return"
@@ -77,8 +79,13 @@ class PolicyRule:
     field_name: str | None = None
 
     @cached_property
-    def decision(self) -> TransmissionDecision:
-        """What this rule decides when it wins; its kind fixes its level."""
+    def decision(self) -> TransmissionDecision | None:
+        """What this rule decides when it wins; its kind fixes its level.
+
+        A cache rule decides nothing, so its decision is None.
+        """
+        if self.kind is RuleKind.CACHE_FIELD:
+            return None
         level = _NONOV_LEVEL[self.kind] + (3 if self.overridable else 0)
         if self.policy is PolicyKind.BY_VALUE:
             depth = self.depth if self.depth is not None else UNBOUNDED
@@ -89,6 +96,58 @@ class PolicyRule:
 # Non-overridable precedence level per rule kind; overridable rules sit three
 # levels lower, so every non-overridable rule outranks every overridable one.
 _NONOV_LEVEL = {RuleKind.PARAM: 1, RuleKind.METHOD: 2, RuleKind.RETURN: 2, RuleKind.CLASS: 3}
+
+# Per rule kind: its policy-file attributes in file order, each mapped to the
+# PolicyRule field it holds, and the fields that follow the kind in its table key.
+_SCHEMA = {
+    RuleKind.CLASS: (
+        {
+            "name": "type_name",
+            "policy": "policy",
+            "overridable": "overridable",
+            "subclasses": "apply_to_subtypes",
+        },
+        ("type_name",),
+    ),
+    RuleKind.METHOD: (
+        {
+            "class": "type_name",
+            "name": "method_name",
+            "policy": "policy",
+            "depth": "depth",
+            "overridable": "overridable",
+        },
+        ("type_name", "method_name"),
+    ),
+    RuleKind.RETURN: (
+        {
+            "class": "type_name",
+            "method": "method_name",
+            "policy": "policy",
+            "overridable": "overridable",
+        },
+        ("type_name", "method_name"),
+    ),
+    RuleKind.PARAM: (
+        {
+            "class": "type_name",
+            "method": "method_name",
+            "index": "param_index",
+            "policy": "policy",
+            "depth": "depth",
+            "overridable": "overridable",
+        },
+        ("type_name", "method_name", "param_index"),
+    ),
+    RuleKind.CACHE_FIELD: ({"class": "type_name", "field": "field_name"}, ("type_name",)),
+}
+#: Attributes a policy file may leave out, with the text they default to.
+_OPTIONAL_ATTRS = {"subclasses": "false"}
+
+
+def _key(rule: PolicyRule) -> tuple:
+    """The rule's table key: ``(kind, type[, method[, index]])``."""
+    return (rule.kind, *(getattr(rule, field) for field in _SCHEMA[rule.kind][1]))
 
 
 @dataclass(frozen=True)
@@ -154,11 +213,10 @@ class TransmissionPolicyManager:
             RuleKind.CLASS,
             type_name,
             policy=policy,
-            depth=UNBOUNDED if policy is PolicyKind.BY_VALUE else None,
             overridable=overridable,
             apply_to_subtypes=apply_to_subtypes,
         )
-        return self._install((RuleKind.CLASS, type_name), overridable, rule)
+        return self._install(rule)[0]
 
     def set_method_policy(
         self,
@@ -173,10 +231,10 @@ class TransmissionPolicyManager:
             type_name,
             method_name=method_name,
             policy=policy,
-            depth=self._check_depth(policy, depth),
+            depth=depth,
             overridable=overridable,
         )
-        return self._install((RuleKind.METHOD, type_name, method_name), overridable, rule)
+        return self._install(rule)[0]
 
     def set_return_value_policy(
         self, type_name: str, method_name: str, policy: PolicyKind, overridable: bool
@@ -188,10 +246,9 @@ class TransmissionPolicyManager:
             type_name,
             method_name=method_name,
             policy=policy,
-            depth=UNBOUNDED if policy is PolicyKind.BY_VALUE else None,
             overridable=overridable,
         )
-        return self._install((RuleKind.RETURN, type_name, method_name), overridable, rule)
+        return self._install(rule)[0]
 
     def set_param_policy(
         self,
@@ -202,78 +259,63 @@ class TransmissionPolicyManager:
         depth: Depth,
         overridable: bool,
     ) -> int:
-        rule = self._param_rule(
-            type_name, method_name, param_index, policy, depth, overridable
-        )
-        key = (RuleKind.PARAM, type_name, method_name, param_index)
-        return self._install(key, overridable, rule)
-
-    def _param_rule(
-        self,
-        type_name: str,
-        method_name: str,
-        param_index: int,
-        policy: PolicyKind,
-        depth: Depth,
-        overridable: bool,
-    ) -> PolicyRule:
-        if param_index < 0:
-            raise PolicyRuleError("parameter index must be >= 0")
-        self._check_param_index(type_name, method_name, param_index)
-        return self._new_rule(
+        rule = self._new_rule(
             RuleKind.PARAM,
             type_name,
             method_name=method_name,
             param_index=param_index,
             policy=policy,
-            depth=self._check_depth(policy, depth),
+            depth=depth,
             overridable=overridable,
         )
+        return self._install(rule)[0]
 
     def set_field_to_be_cached(self, type_name: str, field_name: str) -> int:
-        if not field_name:
-            raise PolicyRuleError("cache rule requires a field name")
-        desc = self._types.maybe_descriptor(type_name)
-        if desc is not None and desc.field(field_name) is None:
-            raise PolicyRuleError(f"type {type_name} declares no field {field_name!r}")
         rule = self._new_rule(RuleKind.CACHE_FIELD, type_name, field_name=field_name)
-        return self._install((RuleKind.CACHE_FIELD, type_name), field_name, rule)
+        return self._install(rule)[0]
 
-    def _install(self, key: tuple, slot: bool | str, rule: PolicyRule) -> int:
+    def _install(self, *rules: PolicyRule) -> list[int]:
+        """Put rules in the table under one lock; each replaces its slot's rule."""
         with self._lock:
-            self._rules.setdefault(key, {})[slot] = rule
-        return rule.rule_id
+            for rule in rules:
+                slot = rule.field_name if rule.kind is RuleKind.CACHE_FIELD else rule.overridable
+                self._rules.setdefault(_key(rule), {})[slot] = rule
+        return [rule.rule_id for rule in rules]
 
-    def _new_rule(self, kind: RuleKind, type_name: str, **kw) -> PolicyRule:
+    def _new_rule(self, kind: RuleKind, type_name: str, **fields) -> PolicyRule:
+        """Check and number one rule: kind-specific checks first, then the names."""
+        desc = self._types.maybe_descriptor(type_name)
+        method_name = fields.get("method_name")
+        if kind is RuleKind.PARAM:
+            index = fields["param_index"]
+            if index < 0:
+                raise PolicyRuleError("parameter index must be >= 0")
+            arities = [m.arity for m in desc.methods if m.name == method_name] if desc else []
+            if arities and index >= max(arities):
+                raise PolicyRuleError(f"{type_name}.{method_name}: no parameter {index}")
+        if "policy" in fields:
+            # A by-value rule of a kind that takes no depth is unbounded.
+            depth = fields.get("depth", UNBOUNDED)
+            if fields["policy"] is PolicyKind.BY_REFERENCE:
+                depth = None
+            elif depth is not UNBOUNDED and (
+                not isinstance(depth, int) or isinstance(depth, bool) or depth < 1
+            ):
+                raise PolicyRuleError(f"by-value depth must be positive or UNBOUNDED: {depth!r}")
+            fields["depth"] = depth
+        if kind is RuleKind.CACHE_FIELD:
+            field_name = fields["field_name"]
+            if not field_name:
+                raise PolicyRuleError("cache rule requires a field name")
+            if desc is not None and desc.field(field_name) is None:
+                raise PolicyRuleError(f"type {type_name} declares no field {field_name!r}")
         if not type_name:
             raise PolicyRuleError("rule requires a type name")
-        if kind in (RuleKind.METHOD, RuleKind.RETURN, RuleKind.PARAM) and not kw.get(
-            "method_name"
-        ):
+        if "method_name" in _SCHEMA[kind][1] and not method_name:
             raise PolicyRuleError(f"{kind.value} rule requires a method name")
         with self._lock:
             self._next_id += 1
-            return PolicyRule(rule_id=self._next_id, kind=kind, type_name=type_name, **kw)
-
-    @staticmethod
-    def _check_depth(policy: PolicyKind, depth: Depth) -> Depth | None:
-        if policy is PolicyKind.BY_REFERENCE:
-            return None
-        if depth is UNBOUNDED:
-            return UNBOUNDED
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
-            raise PolicyRuleError(f"by-value depth must be positive or UNBOUNDED: {depth!r}")
-        return depth
-
-    def _check_param_index(self, type_name: str, method_name: str, index: int) -> None:
-        desc = self._types.maybe_descriptor(type_name)
-        if desc is None:
-            return
-        methods = [m for m in desc.methods if m.name == method_name]
-        if methods and all(index >= m.arity for m in methods):
-            raise PolicyRuleError(
-                f"{type_name}.{method_name}: no parameter {index}"
-            )
+            return PolicyRule(rule_id=self._next_id, kind=kind, type_name=type_name, **fields)
 
     # -- rule inspection -----------------------------------------------------
 
@@ -335,10 +377,16 @@ class TransmissionPolicyManager:
         shared rule of the same overridability in that slot, and the shared
         rule table is never touched.
         """
-        rule = self._param_rule(
-            type_name, method_name, param_index, policy, depth, overridable
+        rule = self._new_rule(
+            RuleKind.PARAM,
+            type_name,
+            method_name=method_name,
+            param_index=param_index,
+            policy=policy,
+            depth=depth,
+            overridable=overridable,
         )
-        slot = (self, (RuleKind.PARAM, type_name, method_name, param_index))
+        slot = (self, _key(rule))
         overlays = dict(_PARAM_OVERLAY.get() or {})
         overlays[slot] = {**overlays.get(slot, {}), overridable: rule}
         token = _PARAM_OVERLAY.set(overlays)
@@ -393,76 +441,30 @@ class TransmissionPolicyManager:
         """Render the live rule set as a policy document (stable rule order)."""
         root = ET.Element("policies")
         for rule in self.all_rules():
-            _rule_to_element(root, rule)
+            attrs = _SCHEMA[rule.kind][0]
+            text = {a: _TEXT.get(f, _PLAIN)[1](getattr(rule, f)) for a, f in attrs.items()}
+            ET.SubElement(root, rule.kind.value, text)
         ET.indent(root)
-        return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(
-            root, encoding="unicode"
-        ) + "\n"
+        xml = ET.tostring(root, encoding="unicode")
+        return f'<?xml version="1.0" encoding="UTF-8"?>\n{xml}\n'
 
     def load_policy_file(self, document: str) -> list[int]:
-        """Install rules from a policy document, in document order."""
+        """Install the rules of a policy document in document order: all, or
+        none if any element is bad."""
         try:
             root = ET.fromstring(document)
         except ET.ParseError as exc:
             raise PolicyFileError(f"malformed policy XML: {exc}") from exc
         if root.tag != "policies":
             raise PolicyFileError(f"root element must be <policies>, got <{root.tag}>")
-        ids: list[int] = []
+        rules: list[PolicyRule] = []
         for pos, elem in enumerate(root, start=1):
-            where = f"element {pos} <{elem.tag}>"
             try:
-                ids.append(self._load_element(elem))
-            except PolicyRuleError as exc:
-                raise PolicyFileError(f"{where}: {exc}") from exc
-            except PolicyFileError as exc:
-                raise PolicyFileError(f"{where}: {exc}") from exc
-        return ids
-
-    def _load_element(self, elem: ET.Element) -> int:
-        tag = elem.tag
-        if tag == "class":
-            attrs = _attrs(elem, {"name", "policy", "overridable"}, {"subclasses"})
-            return self.set_class_policy(
-                attrs["name"],
-                _parse_policy(attrs["policy"]),
-                _parse_bool(attrs["overridable"]),
-                _parse_bool(attrs.get("subclasses", "false")),
-            )
-        if tag == "method":
-            attrs = _attrs(elem, {"class", "name", "policy", "depth", "overridable"})
-            return self.set_method_policy(
-                attrs["class"],
-                attrs["name"],
-                _parse_policy(attrs["policy"]),
-                _parse_depth(attrs["depth"]),
-                _parse_bool(attrs["overridable"]),
-            )
-        if tag == "return":
-            attrs = _attrs(elem, {"class", "method", "policy", "overridable"})
-            return self.set_return_value_policy(
-                attrs["class"],
-                attrs["method"],
-                _parse_policy(attrs["policy"]),
-                _parse_bool(attrs["overridable"]),
-            )
-        if tag == "param":
-            attrs = _attrs(elem, {"class", "method", "index", "policy", "depth", "overridable"})
-            try:
-                index = int(attrs["index"])
-            except ValueError:
-                raise PolicyFileError(f"bad index {attrs['index']!r}") from None
-            return self.set_param_policy(
-                attrs["class"],
-                attrs["method"],
-                index,
-                _parse_policy(attrs["policy"]),
-                _parse_depth(attrs["depth"]),
-                _parse_bool(attrs["overridable"]),
-            )
-        if tag == "cache":
-            attrs = _attrs(elem, {"class", "field"})
-            return self.set_field_to_be_cached(attrs["class"], attrs["field"])
-        raise PolicyFileError(f"unknown rule element <{tag}>")
+                kind, fields = _rule_fields(elem)
+                rules.append(self._new_rule(kind, **fields))
+            except (PolicyRuleError, PolicyFileError) as exc:
+                raise PolicyFileError(f"element {pos} <{elem.tag}>: {exc}") from exc
+        return self._install(*rules)
 
 
 _LEVEL_SOURCES = {1: "param rule", 4: "param rule", 3: "class rule", 6: "class rule"}
@@ -479,17 +481,21 @@ def describe_decision(decision: TransmissionDecision, role: CallRole) -> str:
     return f"{decision.kind.value} via {source}, level {decision.level}"
 
 
-def _attrs(
-    elem: ET.Element, required: set[str], optional: set[str] = frozenset()
-) -> dict[str, str]:
-    present = set(elem.attrib)
-    missing = required - present
+def _rule_fields(elem: ET.Element) -> tuple[RuleKind, dict]:
+    """An element's rule kind and its PolicyRule fields, parsed in file order."""
+    try:
+        kind = RuleKind(elem.tag)
+    except ValueError:
+        raise PolicyFileError(f"unknown rule element <{elem.tag}>") from None
+    attrs = _SCHEMA[kind][0]
+    missing = attrs.keys() - elem.attrib.keys() - _OPTIONAL_ATTRS.keys()
     if missing:
         raise PolicyFileError(f"missing attribute(s): {', '.join(sorted(missing))}")
-    unknown = present - required - optional
+    unknown = elem.attrib.keys() - attrs.keys()
     if unknown:
         raise PolicyFileError(f"unknown attribute(s): {', '.join(sorted(unknown))}")
-    return dict(elem.attrib)
+    text = {**_OPTIONAL_ATTRS, **elem.attrib}
+    return kind, {field: _TEXT.get(field, _PLAIN)[0](text[attr]) for attr, field in attrs.items()}
 
 
 def _parse_policy(text: str) -> PolicyKind:
@@ -510,66 +516,37 @@ def _parse_bool(text: str) -> bool:
 def _parse_depth(text: str) -> Depth:
     if text == "unbounded":
         return UNBOUNDED
-    try:
-        value = int(text)
-    except ValueError:
-        raise PolicyFileError(f"bad depth {text!r}") from None
+    value = _parse_int(text, "depth")
     if value < 1:
         raise PolicyFileError(f"depth must be positive: {value}")
     return value
 
 
-def _rule_to_element(root: ET.Element, rule: PolicyRule) -> None:
-    if rule.kind is RuleKind.CLASS:
-        ET.SubElement(
-            root,
-            "class",
-            name=rule.type_name,
-            policy=rule.policy.value,
-            overridable=_bool_text(rule.overridable),
-            subclasses=_bool_text(rule.apply_to_subtypes),
-        )
-    elif rule.kind is RuleKind.METHOD:
-        ET.SubElement(
-            root,
-            "method",
-            {"class": rule.type_name},
-            name=rule.method_name,
-            policy=rule.policy.value,
-            depth=_depth_text(rule),
-            overridable=_bool_text(rule.overridable),
-        )
-    elif rule.kind is RuleKind.RETURN:
-        ET.SubElement(
-            root,
-            "return",
-            {"class": rule.type_name},
-            method=rule.method_name,
-            policy=rule.policy.value,
-            overridable=_bool_text(rule.overridable),
-        )
-    elif rule.kind is RuleKind.PARAM:
-        ET.SubElement(
-            root,
-            "param",
-            {"class": rule.type_name},
-            method=rule.method_name,
-            index=str(rule.param_index),
-            policy=rule.policy.value,
-            depth=_depth_text(rule),
-            overridable=_bool_text(rule.overridable),
-        )
-    elif rule.kind is RuleKind.CACHE_FIELD:
-        ET.SubElement(root, "cache", {"class": rule.type_name}, field=rule.field_name)
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PolicyFileError(f"bad {what} {text!r}") from None
 
 
 def _bool_text(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _depth_text(rule: PolicyRule) -> str:
+def _depth_text(depth: Depth | None) -> str:
     # By-reference rules keep no depth; the file schema still wants the
     # attribute, so emit "unbounded" as the neutral placeholder.
-    if rule.depth is None or rule.depth is UNBOUNDED:
+    if depth is None or depth is UNBOUNDED:
         return "unbounded"
-    return str(rule.depth)
+    return str(depth)
+
+
+# PolicyRule field -> (parse attribute text, render value); names are plain strings.
+_PLAIN = (str, str)
+_TEXT = {
+    "policy": (_parse_policy, lambda policy: policy.value),
+    "depth": (_parse_depth, _depth_text),
+    "overridable": (_parse_bool, _bool_text),
+    "apply_to_subtypes": (_parse_bool, _bool_text),
+    "param_index": (lambda text: _parse_int(text, "index"), str),
+}

@@ -21,6 +21,7 @@ from rrt.policy import (
     CallContext,
     CallRole,
     PeerKind,
+    RuleKind,
     TransmissionPolicyManager,
     describe_decision,
 )
@@ -124,6 +125,15 @@ class TestRuleStores:
             manager.set_method_policy("I", "m", VAL, 0, True)
         with pytest.raises(PolicyRuleError):
             manager.set_param_policy("I", "m", -1, VAL, 1, True)
+
+    def test_every_rule_has_a_decision_but_cache_rules(self, manager):
+        install_golden_rules(manager)
+        for rule in manager.all_rules():
+            if rule.kind is RuleKind.CACHE_FIELD:
+                assert rule.decision is None
+            else:
+                assert rule.decision.winning_rule == rule.rule_id
+                assert rule.decision.kind is rule.policy
 
     def test_remove_rule(self, manager):
         rid = manager.set_class_policy("Key", VAL, True)
@@ -468,6 +478,17 @@ class TestPolicyFile:
     def test_schema_violations(self, manager, doc, fragment):
         with pytest.raises(PolicyFileError, match=fragment):
             manager.load_policy_file(doc)
+
+    def test_bad_element_installs_nothing(self, manager):
+        doc = (
+            "<policies>"
+            "<class name='Key' policy='BY_VALUE' overridable='true'/>"
+            "<cache class='I' field='ghost'/>"
+            "</policies>"
+        )
+        with pytest.raises(PolicyFileError, match="^element 2 <cache>: type I declares no field"):
+            manager.load_policy_file(doc)
+        assert manager.all_rules() == []
 
     def test_document_order_supersedes(self, manager):
         doc = (
