@@ -38,9 +38,9 @@ from .errors import (
     RRTError,
     ServiceNotFound,
 )
-from .model import Endpoint, GuidSource, MethodDescriptor, TransmissionDecision
+from .model import Endpoint, GuidSource, MethodDescriptor, RIOR, TransmissionDecision
 from .policy import CallContext, CallRole, PeerKind, TransmissionPolicyManager
-from .registry import ServiceRegistry, Skeleton, TypeRegistry, invoke_local
+from .registry import ServiceRegistry, TypeRegistry, invoke_local
 
 DEFAULT_PORT = 8000
 IDLE_TIMEOUT = 30.0  # seconds a connection may wait for its next request
@@ -56,7 +56,6 @@ class NodeConfig:
     policy_file: str | Path | None = None
     deploy_manifest: str | Path | None = None
     log_sink: str | Path | None = None  # "-" = stderr, path = append, None = memory only
-    request_timeout: float = 10.0
 
 
 #: What a suppressed network fault returns, per declared return type; null otherwise.
@@ -77,13 +76,9 @@ class RRTNode:
         self.config = config or NodeConfig()
         self.types = types or TypeRegistry()
         self.policy = policy or TransmissionPolicyManager(types=self.types)
-        self.services = ServiceRegistry(
-            self.types,
-            endpoint_provider=lambda: self.endpoint,
-            guid_source=guid_source,
-        )
+        self.services = ServiceRegistry(self.types, guid_source=guid_source)
         self.proxy_cache = remote.ProxyCache()
-        self.http = remote.HttpClient(self.config.request_timeout)
+        self.http = remote.HttpClient()
         self.fault_log: list[str] = []
         self.decision_observer = None
         self.invoke_requests = 0
@@ -187,8 +182,15 @@ class RRTNode:
 
     # -- application surface ----------------------------------------------------
 
-    def deploy(self, obj, interface=None, name: str | None = None):
-        return self.services.deploy(obj, interface, name)
+    def deploy(self, obj, interface=None, name: str | None = None) -> RIOR:
+        """Expose a live object as a service and return its remote reference."""
+        skeleton = self.services.deploy(obj, interface, name)
+        return RIOR(
+            endpoint=self.endpoint,
+            guid=skeleton.guid,
+            service_name=skeleton.service_name,
+            interface_descriptor=skeleton.interface_descriptor,
+        )
 
     def get_object_by_name(self, host: str, port: int, name: str):
         return remote.get_object_by_name(self, host, port, name)
@@ -237,16 +239,10 @@ class RRTNode:
                     "name": sk.service_name,
                     "guid": sk.guid.hex,
                     "interface_name": sk.interface_descriptor.type_name,
-                    "object_repr": self._object_repr(sk),
+                    "object_repr": f"{sk.concrete_type_name}@{sk.guid.hex[:8]}",
                 }
             )
         return out
-
-    def _object_repr(self, sk: Skeleton) -> str:
-        custom = self.types.repr_of(sk.service_object)
-        if custom is not None:
-            return custom
-        return f"{sk.concrete_type_name}@{sk.guid.hex[:8]}"
 
     def describe_service(self, name_or_guid: str) -> dict:
         skeleton = self.services.lookup(name_or_guid)
@@ -310,10 +306,6 @@ class RRTNode:
         except ApplicationFault as exc:
             return Response(
                 ok=False, fault=Fault("application", exc.fault_class, exc.message)
-            )
-        except RRTError as exc:
-            return Response(
-                ok=False, fault=Fault("protocol", type(exc).__name__, str(exc))
             )
         except Exception as exc:  # noqa: BLE001 - the endpoint never aborts
             return Response(

@@ -27,11 +27,9 @@ from .errors import (
 )
 from .model import (
     GUID,
-    Endpoint,
     GuidSource,
     MethodDescriptor,
     PUBLIC,
-    RIOR,
     TypeDescriptor,
     VOID,
     guid_new,
@@ -153,7 +151,6 @@ class RegisteredType:
     py_type: type | None = None
     instantiate: Callable[[], object] | None = None
     factory: Callable[..., object] | None = None
-    repr_fn: Callable[[object], str] | None = None
 
     @cached_property
     def descriptor_doc(self) -> dict:
@@ -175,9 +172,7 @@ class TypeRegistry:
         table: MethodTable | None = None,
         *,
         py_type: type | None = None,
-        instantiate: Callable[[], object] | None = None,
         factory: Callable[..., object] | None = None,
-        repr_fn: Callable[[object], str] | None = None,
     ) -> str:
         """Install a descriptor plus its bindings; returns the type id (its name).
 
@@ -222,8 +217,6 @@ class TypeRegistry:
                             f"{name}: method {m.ident} has no binding"
                         )
 
-            if instantiate is None and py_type is not None:
-                instantiate = _bare_constructor(py_type)
             if factory is None and py_type is not None:
                 factory = py_type
             self._types[name] = RegisteredType(
@@ -231,9 +224,8 @@ class TypeRegistry:
                 method_table=merged_table,
                 lineage=lineage,
                 py_type=py_type,
-                instantiate=instantiate,
+                instantiate=_bare_constructor(py_type) if py_type is not None else None,
                 factory=factory,
-                repr_fn=repr_fn,
             )
             if py_type is not None:
                 self._by_class[py_type] = name
@@ -263,14 +255,6 @@ class TypeRegistry:
     def registered_name_of(self, value: object) -> str | None:
         return self._by_class.get(type(value))
 
-    def instantiate(self, type_name: str) -> object:
-        rt = self._types.get(type_name)
-        if rt is None:
-            raise UnregisteredTypeError(f"unknown type: {type_name}")
-        if rt.instantiate is None:
-            raise UnregisteredTypeError(f"type {type_name} is not instantiable")
-        return rt.instantiate()
-
     def supertype_chain_of(self, type_name: str) -> tuple[str, ...]:
         """The type's lineage, most derived first; an unregistered name alone."""
         rt = self._types.get(type_name)
@@ -278,13 +262,6 @@ class TypeRegistry:
 
     def is_subtype_name(self, candidate: str, ancestor: str) -> bool:
         return ancestor in self.supertype_chain_of(candidate)
-
-    def repr_of(self, value: object) -> str | None:
-        name = self._by_class.get(type(value))
-        if name is None:
-            return None
-        fn = self._types[name].repr_fn
-        return fn(value) if fn else None
 
 
 def _bare_constructor(py_type: type) -> Callable[[], object]:
@@ -315,15 +292,8 @@ class Skeleton:
 class ServiceRegistry:
     """The service map plus deploy/lookup/invoke operations of one node."""
 
-    def __init__(
-        self,
-        types: TypeRegistry,
-        *,
-        endpoint_provider: Callable[[], Endpoint],
-        guid_source: GuidSource | None = None,
-    ):
+    def __init__(self, types: TypeRegistry, *, guid_source: GuidSource | None = None):
         self.types = types
-        self._endpoint_provider = endpoint_provider
         self._guid_source = guid_source
         self._by_guid: dict[GUID, Skeleton] = {}
         self._by_name: dict[str, Skeleton] = {}
@@ -331,17 +301,13 @@ class ServiceRegistry:
         self._seq = 0
         self._lock = threading.RLock()
 
-    @property
-    def endpoint(self) -> Endpoint:
-        return self._endpoint_provider()
-
     def deploy(
         self,
         obj: object,
         interface: TypeDescriptor | str | None = None,
         name: str | None = None,
-    ) -> RIOR:
-        """Expose a live object as a service and return its remote reference.
+    ) -> Skeleton:
+        """Expose a live object as a service and return its skeleton.
 
         Without an explicit interface the service exposes the public methods
         of the object's concrete type. The object itself is never touched:
@@ -376,12 +342,7 @@ class ServiceRegistry:
             if name is not None:
                 self._by_name[name] = skeleton
             self._by_object.setdefault(id(obj), []).append(skeleton)
-            return RIOR(
-                endpoint=self.endpoint,
-                guid=guid,
-                service_name=name,
-                interface_descriptor=iface,
-            )
+            return skeleton
 
     def _resolve_interface(
         self, concrete: TypeDescriptor, interface: TypeDescriptor | str | None

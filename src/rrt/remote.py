@@ -385,8 +385,7 @@ def auto_deploy(node, obj: object, signature_type_name: str | None = None) -> RI
     if not node.config.concrete_type_always and signature_type_name is not None:
         if node.types.lookup(signature_type_name) is not None:
             interface = signature_type_name
-    rior = services.deploy(obj, interface, None)
-    return build_rior(node, services.lookup_guid(rior.guid))
+    return build_rior(node, services.deploy(obj, interface, None))
 
 
 def self_derivation(node, skeleton: Skeleton, ancestor_name: str) -> int:

@@ -29,11 +29,10 @@ class LocalPair:
         seed: int | None = None,
         registrars: Iterable[Callable[[TypeRegistry], None]] = (),
         config_a: NodeConfig | None = None,
-        config_b: NodeConfig | None = None,
     ):
         self._registrars = tuple(registrars)
         self.a = self._spawn(config_a, None if seed is None else seed)
-        self.b = self._spawn(config_b, None if seed is None else seed + 1)
+        self.b = self._spawn(None, None if seed is None else seed + 1)
 
     def _spawn(self, config: NodeConfig | None, seed: int | None) -> RRTNode:
         types = TypeRegistry()

@@ -1,6 +1,7 @@
-"""Every name a runtime module imports is used in that module, and every
+"""Every name a runtime module imports is used in that module; every
 module-level name a runtime module defines is referenced somewhere in the
-runtime, its tests or its benchmark."""
+runtime, its tests or its benchmark; and every option a runtime module
+declares is set somewhere there."""
 
 from __future__ import annotations
 
@@ -111,3 +112,86 @@ def test_checker_flags_an_unreferenced_name():
     client = "import pkg\npkg.used()\nGone = 1\n"
     refs = set().union(*(referenced_names(s) for s in (module, package, client)))
     assert unreferenced(module, refs) == ["line 4: exported", "line 5: Gone"]
+
+
+def declared_options(source: str) -> list[tuple[int, str, str]]:
+    """(line, label, name) of each defaulted keyword-only parameter and each
+    ``NodeConfig`` field."""
+    options: list[tuple[int, str, str]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    options.append((arg.lineno, f"{node.name}({arg.arg}=)", arg.arg))
+        elif isinstance(node, ast.ClassDef) and node.name == "NodeConfig":
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                    options.append((stmt.lineno, f"NodeConfig.{name}", name))
+    return options
+
+
+def keywords_passed(source: str) -> set[str]:
+    """Names passed by keyword in some call of the source.
+
+    ``x=x`` inside a function that has a parameter ``x`` forwards that
+    parameter and counts for nothing.
+    """
+    passed: set[str] = set()
+
+    def visit(node: ast.AST, params: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            every = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            params = frozenset(p.arg for p in every if p is not None)
+        elif isinstance(node, ast.Call):
+            for kw in node.keywords:
+                forwarded = isinstance(kw.value, ast.Name) and kw.value.id == kw.arg
+                if kw.arg is not None and not (forwarded and kw.arg in params):
+                    passed.add(kw.arg)
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(ast.parse(source), frozenset())
+    return passed
+
+
+def unpassed_options(source: str, passed: set[str]) -> list[str]:
+    return [
+        f"line {line}: {label}"
+        for line, label, name in declared_options(source)
+        if name not in passed
+    ]
+
+
+@pytest.fixture(scope="module")
+def passed() -> set[str]:
+    names: set[str] = set()
+    for top in REFERENCING:
+        for path in (ROOT / top).rglob("*.py"):
+            names |= keywords_passed(path.read_text(encoding="utf-8"))
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.relative_to(PACKAGE).as_posix()
+)
+def test_every_option_is_set_somewhere(path, passed):
+    assert unpassed_options(path.read_text(encoding="utf-8"), passed) == []
+
+
+def test_checker_flags_an_option_never_set():
+    module = (
+        "class NodeConfig:\n"
+        "    port: int = 0\n"
+        "    timeout: float = 1.0\n"
+        "def serve(config, *, retries=3, verbose=False, hook):\n"
+        "    return start(config, retries=retries, verbose=verbose, hook=hook)\n"
+    )
+    client = "serve(NodeConfig(port=1), hook=print)\nrun(verbose=verbose)\n"
+    passed = keywords_passed(module) | keywords_passed(client)
+    assert unpassed_options(module, passed) == [
+        "line 3: NodeConfig.timeout",
+        "line 4: serve(retries=)",
+    ]

@@ -20,6 +20,7 @@ from rrt.model import (
     NON_PUBLIC,
     TypeDescriptor,
 )
+from rrt.node import NodeConfig, RRTNode
 from rrt.registry import (
     MethodTable,
     ServiceRegistry,
@@ -50,7 +51,7 @@ def types():
 
 @pytest.fixture
 def services(types):
-    return ServiceRegistry(types, endpoint_provider=lambda: EP)
+    return ServiceRegistry(types)
 
 
 class TestRegisterType:
@@ -165,8 +166,9 @@ class TestDeploy:
             "getKey",
         }
 
-    def test_deploy_returns_rior_with_empty_snapshot(self, services):
-        rior = services.deploy(P2PNode(Key("k")), "IP2PNode", "P2P")
+    def test_deploy_returns_rior_with_empty_snapshot(self, types):
+        node = RRTNode(NodeConfig(host=EP.host, port=EP.port), types=types)
+        rior = node.deploy(P2PNode(Key("k")), "IP2PNode", "P2P")
         assert rior.service_name == "P2P"
         assert rior.endpoint == EP
         assert rior.cached_field_names == frozenset()
@@ -213,7 +215,7 @@ class TestDeploy:
         )
         t = TypeRegistry()
         t.register_type(desc, MethodTable.for_class(Widget, desc), py_type=Widget)
-        services = ServiceRegistry(t, endpoint_provider=lambda: EP)
+        services = ServiceRegistry(t)
         rior = services.deploy(Widget(), name="w")
         names = {m.name for m in rior.interface_descriptor.methods}
         assert "visible" in names and "hidden" not in names
@@ -239,9 +241,7 @@ class TestDeploy:
         assert before == after
 
     def test_guid_collision_rejected(self, types):
-        services = ServiceRegistry(
-            types, endpoint_provider=lambda: EP, guid_source=lambda: b"\x01" * 16
-        )
+        services = ServiceRegistry(types, guid_source=lambda: b"\x01" * 16)
         services.deploy(P2PNode(Key("k")), None, "a")
         with pytest.raises(GuidCollisionError):
             services.deploy(P2PNode(Key("k")), None, "b")
@@ -312,7 +312,7 @@ class TestInvokeLocal:
 
         desc = TypeDescriptor("Calc", methods=(MethodDescriptor("double", ("i64",), "i64"),))
         types.register_type(desc, MethodTable.for_class(Calc, desc), py_type=Calc)
-        services = ServiceRegistry(types, endpoint_provider=lambda: EP)
+        services = ServiceRegistry(types)
         services.deploy(Calc(), None, "calc")
         sk = services.lookup("calc")
         assert invoke_local(sk, "double", [21]) == 42
@@ -326,7 +326,7 @@ class TestInvokeLocal:
 
         desc = TypeDescriptor("Boomer", methods=(MethodDescriptor("boom"),))
         types.register_type(desc, MethodTable.for_class(Boomer, desc), py_type=Boomer)
-        services = ServiceRegistry(types, endpoint_provider=lambda: EP)
+        services = ServiceRegistry(types)
         services.deploy(Boomer(), None, "boomer")
         with pytest.raises(ApplicationFault) as info:
             invoke_local(services.lookup("boomer"), "boom", [])
