@@ -230,10 +230,11 @@ class MessageDecoder:
     """Rebuilds live values from wire documents, sharing the object table
     across the positions of one message.
 
-    Every document is checked as it is read. Inlined objects are
-    instantiated through their registered constructors and populated field
-    by field; back-references restore aliasing and cycles. Remote references
-    go through the resolver (loop-back, proxy cache, or a new handle).
+    Every document is checked as it is read. Inlined objects are created
+    from their registered classes, without running a constructor, and
+    populated field by field; back-references restore aliasing and cycles.
+    Remote references go through the resolver (loop-back, proxy cache, or a
+    new handle).
     """
 
     def __init__(self, registry, resolve_ref: ResolveRef | None = None):
@@ -278,10 +279,10 @@ class MessageDecoder:
             raise ProtocolError(f"unknown class on the wire: {class_name}")
         if oid in self._table:
             raise ProtocolError(f"duplicate object id {oid}")
-        if rt.instantiate is None:
+        if rt.py_type is None:
             raise ProtocolError(f"class {class_name} is not instantiable")
         declared = rt.descriptor.field_names
-        instance = rt.instantiate()
+        instance = object.__new__(rt.py_type)
         self._table[oid] = instance
         for fname, fdoc in fields.items():
             if fname not in declared:

@@ -175,45 +175,29 @@ class TypeDescriptor:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.type_name:
             raise ValueError("type descriptor requires a name")
-        seen: set[tuple[str, int]] = set()
+        methods: dict[tuple[str, int], MethodDescriptor] = {}
         for m in self.methods:
             key = (m.name, m.arity)
-            if key in seen:
+            if key in methods:
                 raise ValueError(f"{self.type_name}: duplicate method {m.ident}")
-            seen.add(key)
-        fseen: set[str] = set()
+            methods[key] = m
+        fields: dict[str, FieldDescriptor] = {}
         for f in self.fields:
-            if f.name in fseen:
+            if f.name in fields:
                 raise ValueError(f"{self.type_name}: duplicate field {f.name}")
-            fseen.add(f.name)
+            fields[f.name] = f
+        # Indexes built once: they are not dataclass fields, so equality,
+        # hashing and repr still see only the declared ones.
+        object.__setattr__(self, "_methods", methods)
+        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "method_names", frozenset(m.name for m in self.methods))
+        object.__setattr__(self, "field_names", frozenset(fields))
 
-    def find_method(self, name: str, arity: int | None = None) -> MethodDescriptor | None:
-        for m in self.methods:
-            if m.name == name and (arity is None or m.arity == arity):
-                return m
-        return None
-
-    def has_method_named(self, name: str) -> bool:
-        return any(m.name == name for m in self.methods)
+    def find_method(self, name: str, arity: int) -> MethodDescriptor | None:
+        return self._methods.get((name, arity))
 
     def field(self, name: str) -> FieldDescriptor | None:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
-
-    @property
-    def field_names(self) -> frozenset[str]:
-        return frozenset(f.name for f in self.fields)
-
-    def with_methods(self, extra: list[MethodDescriptor]) -> "TypeDescriptor":
-        return TypeDescriptor(
-            type_name=self.type_name,
-            supertype_name=self.supertype_name,
-            fields=self.fields,
-            methods=self.methods + tuple(extra),
-            is_interface=self.is_interface,
-        )
+        return self._fields.get(name)
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,11 @@ class RRTNode:
         config: NodeConfig | None = None,
         *,
         types: TypeRegistry | None = None,
-        policy: TransmissionPolicyManager | None = None,
         guid_source: GuidSource | None = None,
     ):
         self.config = config or NodeConfig()
         self.types = types or TypeRegistry()
-        self.policy = policy or TransmissionPolicyManager(types=self.types)
+        self.policy = TransmissionPolicyManager(types=self.types)
         self.services = ServiceRegistry(self.types, guid_source=guid_source)
         self.proxy_cache = remote.ProxyCache()
         self.http = remote.HttpClient()
@@ -463,10 +462,9 @@ def serve(
     config: NodeConfig | None = None,
     *,
     types: TypeRegistry | None = None,
-    policy: TransmissionPolicyManager | None = None,
     guid_source: GuidSource | None = None,
 ) -> RRTNode:
     """Build a node from a configuration and start serving. Caller stops it."""
-    node = RRTNode(config, types=types, policy=policy, guid_source=guid_source)
+    node = RRTNode(config, types=types, guid_source=guid_source)
     node.start()
     return node

@@ -284,7 +284,8 @@ class TransmissionPolicyManager:
 
     def _new_rule(self, kind: RuleKind, type_name: str, **fields) -> PolicyRule:
         """Check and number one rule: kind-specific checks first, then the names."""
-        desc = self._types.maybe_descriptor(type_name)
+        rt = self._types.lookup(type_name)
+        desc = rt.descriptor if rt is not None else None
         method_name = fields.get("method_name")
         if kind is RuleKind.PARAM:
             index = fields["param_index"]

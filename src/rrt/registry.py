@@ -9,7 +9,7 @@ independent of local visibility.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -149,8 +149,18 @@ class RegisteredType:
     #: registration, since descriptors are immutable.
     lineage: tuple[str, ...]
     py_type: type | None = None
-    instantiate: Callable[[], object] | None = None
     factory: Callable[..., object] | None = None
+    #: What a deploy without an interface exposes: the descriptor itself when
+    #: every method is public, else one copy holding only the public methods.
+    public_interface: TypeDescriptor = field(init=False)
+
+    def __post_init__(self):
+        methods = self.descriptor.methods
+        public = tuple(m for m in methods if m.visibility == PUBLIC)
+        self.public_interface = (
+            self.descriptor if len(public) == len(methods)
+            else replace(self.descriptor, methods=public)
+        )
 
     @cached_property
     def descriptor_doc(self) -> dict:
@@ -195,7 +205,10 @@ class TypeRegistry:
                 lineage += parent.lineage
 
             accessors = synthesize_accessors(descriptor)
-            merged = descriptor.with_methods(accessors) if accessors else descriptor
+            merged = (
+                replace(descriptor, methods=descriptor.methods + tuple(accessors))
+                if accessors else descriptor
+            )
 
             merged_table: MethodTable | None = None
             if not merged.is_interface:
@@ -224,7 +237,6 @@ class TypeRegistry:
                 method_table=merged_table,
                 lineage=lineage,
                 py_type=py_type,
-                instantiate=_bare_constructor(py_type) if py_type is not None else None,
                 factory=factory,
             )
             if py_type is not None:
@@ -233,16 +245,6 @@ class TypeRegistry:
 
     def lookup(self, type_name: str) -> RegisteredType | None:
         return self._types.get(type_name)
-
-    def get(self, type_name: str) -> TypeDescriptor:
-        rt = self._types.get(type_name)
-        if rt is None:
-            raise UnregisteredTypeError(f"unknown type: {type_name}")
-        return rt.descriptor
-
-    def maybe_descriptor(self, type_name: str) -> TypeDescriptor | None:
-        rt = self._types.get(type_name)
-        return rt.descriptor if rt else None
 
     def descriptor_of(self, value: object) -> TypeDescriptor:
         name = self._by_class.get(type(value))
@@ -260,16 +262,6 @@ class TypeRegistry:
         rt = self._types.get(type_name)
         return rt.lineage if rt is not None else (type_name,)
 
-    def is_subtype_name(self, candidate: str, ancestor: str) -> bool:
-        return ancestor in self.supertype_chain_of(candidate)
-
-
-def _bare_constructor(py_type: type) -> Callable[[], object]:
-    def make() -> object:
-        return object.__new__(py_type)
-
-    return make
-
 
 @dataclass
 class Skeleton:
@@ -286,7 +278,6 @@ class Skeleton:
     guid: GUID
     service_name: str | None
     concrete_type_name: str
-    seq: int = 0
 
 
 class ServiceRegistry:
@@ -295,10 +286,10 @@ class ServiceRegistry:
     def __init__(self, types: TypeRegistry, *, guid_source: GuidSource | None = None):
         self.types = types
         self._guid_source = guid_source
+        # In deploy order, since a GUID is never reused.
         self._by_guid: dict[GUID, Skeleton] = {}
         self._by_name: dict[str, Skeleton] = {}
         self._by_object: dict[int, list[Skeleton]] = {}
-        self._seq = 0
         self._lock = threading.RLock()
 
     def deploy(
@@ -315,7 +306,12 @@ class ServiceRegistry:
         """
         with self._lock:
             concrete = self.types.descriptor_of(obj)
-            iface = self._resolve_interface(concrete, interface)
+            concrete_rt = self.types.lookup(concrete.type_name)
+            assert concrete_rt is not None and concrete_rt.method_table is not None
+            iface = (
+                concrete_rt.public_interface if interface is None
+                else self._resolve_interface(concrete, interface)
+            )
             if name is not None:
                 if not name:
                     raise DeploymentError("service name must be non-empty")
@@ -325,10 +321,6 @@ class ServiceRegistry:
             if guid in self._by_guid:
                 raise GuidCollisionError(f"GUID collision: {guid.hex}")
 
-            concrete_rt = self.types.lookup(concrete.type_name)
-            assert concrete_rt is not None and concrete_rt.method_table is not None
-
-            self._seq += 1
             skeleton = Skeleton(
                 service_object=obj,
                 interface_descriptor=iface,
@@ -336,7 +328,6 @@ class ServiceRegistry:
                 guid=guid,
                 service_name=name,
                 concrete_type_name=concrete.type_name,
-                seq=self._seq,
             )
             self._by_guid[guid] = skeleton
             if name is not None:
@@ -345,17 +336,8 @@ class ServiceRegistry:
             return skeleton
 
     def _resolve_interface(
-        self, concrete: TypeDescriptor, interface: TypeDescriptor | str | None
+        self, concrete: TypeDescriptor, interface: TypeDescriptor | str
     ) -> TypeDescriptor:
-        if interface is None:
-            public = tuple(m for m in concrete.methods if m.visibility == PUBLIC)
-            return TypeDescriptor(
-                type_name=concrete.type_name,
-                supertype_name=concrete.supertype_name,
-                fields=concrete.fields,
-                methods=public,
-                is_interface=concrete.is_interface,
-            )
         name = interface if isinstance(interface, str) else interface.type_name
         rt = self.types.lookup(name)
         if rt is None:
@@ -411,7 +393,7 @@ class ServiceRegistry:
 
     def list_skeletons(self) -> list[Skeleton]:
         with self._lock:
-            return sorted(self._by_guid.values(), key=lambda s: s.seq)
+            return list(self._by_guid.values())
 
     def __len__(self) -> int:
         with self._lock:
@@ -438,7 +420,7 @@ def invoke_local(skeleton: Skeleton, method: str, args: Sequence[object]) -> obj
     iface = skeleton.interface_descriptor
     md = iface.find_method(method, len(args))
     if md is None:
-        if iface.has_method_named(method):
+        if method in iface.method_names:
             raise InvocationError(
                 f"{method}: wrong arity {len(args)} for service "
                 f"{skeleton.service_name or skeleton.guid.hex}"

@@ -16,6 +16,7 @@ import http.client
 import socket
 import threading
 from typing import Callable, Sequence
+from urllib.parse import quote
 
 from . import codec
 from .codec import Request, Response
@@ -195,7 +196,7 @@ class Handle(RemoteProxyBase):
             rior = object.__getattribute__(self, "rior")
         except AttributeError:
             raise AttributeError(name) from None
-        if rior.interface_descriptor.has_method_named(name):
+        if name in rior.interface_descriptor.method_names:
             return lambda *args: self.invoke(name, args)
         raise AttributeError(
             f"{rior.interface_descriptor.type_name} proxy has no method {name!r}"
@@ -251,7 +252,8 @@ def resolve_incoming_rior(node, rior: RIOR) -> object:
 
 def get_object_by_name(node, host: str, port: int, name: str) -> object:
     """Fetch a remote service's reference by name or GUID and resolve it."""
-    status, raw = node.http.request(Endpoint(host, port), "GET", f"/describe/{name}")
+    path = f"/describe/{quote(name, safe='')}"
+    status, raw = node.http.request(Endpoint(host, port), "GET", path)
     if status == 404:
         raise ServiceNotFound(f"{host}:{port} has no service {name!r}")
     if status != 200:
@@ -369,32 +371,23 @@ def auto_deploy(node, obj: object, signature_type_name: str | None = None) -> RI
         if sk.interface_descriptor.type_name == concrete_name:
             return build_rior(node, sk)
 
-    if signature_type_name is not None:
-        matching = [
-            sk
-            for sk in deployments
-            if node.types.is_subtype_name(
-                sk.interface_descriptor.type_name, signature_type_name
-            )
-        ]
-        if matching:
-            best = max(matching, key=lambda sk: (self_derivation(node, sk, signature_type_name), sk.seq))
-            return build_rior(node, best)
+    # The most derived interface has the signature type furthest up its
+    # lineage; deployments_of lists oldest first, so >= keeps the newest.
+    best, best_rank = None, -1
+    for sk in deployments:
+        lineage = node.types.supertype_chain_of(sk.interface_descriptor.type_name)
+        if signature_type_name in lineage:
+            rank = lineage.index(signature_type_name)
+            if rank >= best_rank:
+                best, best_rank = sk, rank
+    if best is not None:
+        return build_rior(node, best)
 
     interface: str | None = None
     if not node.config.concrete_type_always and signature_type_name is not None:
         if node.types.lookup(signature_type_name) is not None:
             interface = signature_type_name
     return build_rior(node, services.deploy(obj, interface, None))
-
-
-def self_derivation(node, skeleton: Skeleton, ancestor_name: str) -> int:
-    """Steps from a deployment's interface down to the signature type (0 = same)."""
-    chain = node.types.supertype_chain_of(skeleton.interface_descriptor.type_name)
-    try:
-        return len(chain) - 1 - chain.index(ancestor_name)
-    except ValueError:
-        return -1
 
 
 def build_rior(node, skeleton: Skeleton) -> RIOR:

@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from dataclasses import asdict
+from urllib.parse import quote
 
 from .. import codec
 from ..errors import PolicyFileError, RRTError
@@ -115,20 +117,22 @@ def _cmd_node(ns) -> int:
     types = TypeRegistry()
     register_demo_types(types)
     guid_source = SeededGuidSource(ns.seed) if ns.seed is not None else None
+    # Blocked before the node starts a thread, and threads inherit the mask,
+    # so either signal waits for sigwait however early it comes.
+    stop_signals = {signal.SIGINT, signal.SIGTERM}
+    old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
     try:
-        node = serve(config, types=types, guid_source=guid_source)
-    except RRTError as exc:
-        print(f"startup failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"node listening on http://{node.endpoint}", file=sys.stderr)
-    try:
-        while True:
-            node._thread.join(timeout=1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
+        try:
+            node = serve(config, types=types, guid_source=guid_source)
+        except RRTError as exc:
+            print(f"startup failed: {exc}", file=sys.stderr)
+            return 1
+        print(f"node listening on http://{node.endpoint}", file=sys.stderr)
+        signal.sigwait(stop_signals)
         node.stop()
-    return 0
+        return 0
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
 
 
 def _cmd_call(ns) -> int:
@@ -150,7 +154,8 @@ def _cmd_call(ns) -> int:
 
     client = HttpClient(timeout=30)
     try:
-        _, raw = client.request(endpoint, "POST", f"/invoke/{ns.service}", body)
+        path = f"/invoke/{quote(ns.service, safe='')}"
+        _, raw = client.request(endpoint, "POST", path, body)
         response = codec.decode_response(raw)
     except RRTError as exc:
         print(json.dumps({"fault": {"kind": "network", "message": str(exc)}}))

@@ -485,7 +485,7 @@ class TestRequestSize:
 
 class TestInterfaceReuse:
     def test_equal_document_yields_registered_descriptor(self, registry):
-        registered = registry.get("GNode")
+        registered = registry.lookup("GNode").descriptor
         rior = RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=registered)
         doc = json.loads(canonical_bytes(rior_to_doc(rior)))
         assert doc_to_rior(doc, registry).interface_descriptor is registered
@@ -493,7 +493,7 @@ class TestInterfaceReuse:
         assert built is not registered and built == registered
 
     def test_different_document_yields_its_own_descriptor(self, registry):
-        registered = registry.get("GNode")
+        registered = registry.lookup("GNode").descriptor
         remote = TypeDescriptor(
             "GNode", fields=registered.fields + (FieldDescriptor("extra", "i64"),)
         )
@@ -502,7 +502,7 @@ class TestInterfaceReuse:
         assert got is not registered and got == remote
 
     def test_integer_for_boolean_still_refused(self, registry):
-        registered = registry.get("GNode")
+        registered = registry.lookup("GNode").descriptor
         rior = RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=registered)
         doc = rior_to_doc(rior)
         doc["iface"]["interface"] = 0

@@ -1,12 +1,13 @@
 """Every name a runtime module imports is used in that module; every
 module-level name a runtime module defines is referenced somewhere in the
 runtime, its tests or its benchmark; and every option a runtime module
-declares is set somewhere there."""
+declares is set somewhere there, by a call of that very function."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -114,64 +115,104 @@ def test_checker_flags_an_unreferenced_name():
     assert unreferenced(module, refs) == ["line 4: exported", "line 5: Gone"]
 
 
-def declared_options(source: str) -> list[tuple[int, str, str]]:
-    """(line, label, name) of each defaulted keyword-only parameter and each
+#: An option as call sites reach it: (callee name, keyword).
+Option = tuple[str, str]
+
+
+def _callee(func: ast.expr) -> str | None:
+    """The name a call reaches its callee by: ``f(...)`` or ``obj.f(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _reached_as(node: ast.FunctionDef | ast.AsyncFunctionDef, cls: str | None) -> str:
+    """The callee name of a function; a class's ``__init__`` is called by the class's."""
+    return cls if node.name == "__init__" and cls is not None else node.name
+
+
+def declared_options(source: str) -> list[tuple[int, str, Option]]:
+    """(line, label, option) of each defaulted keyword-only parameter and each
     ``NodeConfig`` field."""
-    options: list[tuple[int, str, str]] = []
-    for node in ast.walk(ast.parse(source)):
+    options: list[tuple[int, str, Option]] = []
+
+    def visit(node: ast.AST, cls: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            callee = _reached_as(node, cls)
             args = node.args
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    options.append((arg.lineno, f"{node.name}({arg.arg}=)", arg.arg))
+                    options.append((arg.lineno, f"{callee}({arg.arg}=)", (callee, arg.arg)))
         elif isinstance(node, ast.ClassDef) and node.name == "NodeConfig":
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                     name = stmt.target.id
-                    options.append((stmt.lineno, f"NodeConfig.{name}", name))
-    return options
+                    options.append((stmt.lineno, f"NodeConfig.{name}", ("NodeConfig", name)))
+        cls = node.name if isinstance(node, ast.ClassDef) else None
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return sorted(options)
 
 
-def keywords_passed(source: str) -> set[str]:
-    """Names passed by keyword in some call of the source.
+def keywords_passed(sources: Iterable[str]) -> set[Option]:
+    """Each (callee, keyword) that some call in the sources passes.
 
-    ``x=x`` inside a function that has a parameter ``x`` forwards that
-    parameter and counts for nothing.
+    ``x=x`` inside a function f that has a parameter ``x`` forwards that
+    parameter, so it counts only if (f, x) is passed somewhere itself.
     """
-    passed: set[str] = set()
+    passed: set[Option] = set()
+    forwards: dict[tuple[str | None, str], list[Option]] = {}
 
-    def visit(node: ast.AST, params: frozenset[str]) -> None:
+    def visit(node: ast.AST, cls: str | None, fn: str | None, params: frozenset[str]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = node.args
             every = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
             params = frozenset(p.arg for p in every if p is not None)
-        elif isinstance(node, ast.Call):
+            fn = None if isinstance(node, ast.Lambda) else _reached_as(node, cls)
+        elif isinstance(node, ast.Call) and (callee := _callee(node.func)) is not None:
             for kw in node.keywords:
+                if kw.arg is None:
+                    continue
+                option = (callee, kw.arg)
                 forwarded = isinstance(kw.value, ast.Name) and kw.value.id == kw.arg
-                if kw.arg is not None and not (forwarded and kw.arg in params):
-                    passed.add(kw.arg)
+                if forwarded and kw.arg in params:
+                    forwards.setdefault((fn, kw.arg), []).append(option)
+                else:
+                    passed.add(option)
+        cls = node.name if isinstance(node, ast.ClassDef) else None
         for child in ast.iter_child_nodes(node):
-            visit(child, params)
+            visit(child, cls, fn, params)
 
-    visit(ast.parse(source), frozenset())
+    for source in sources:
+        visit(ast.parse(source), None, None, frozenset())
+    todo = list(passed)
+    while todo:
+        for option in forwards.get(todo.pop(), ()):
+            if option not in passed:
+                passed.add(option)
+                todo.append(option)
     return passed
 
 
-def unpassed_options(source: str, passed: set[str]) -> list[str]:
+def unpassed_options(source: str, passed: set[Option]) -> list[str]:
     return [
         f"line {line}: {label}"
-        for line, label, name in declared_options(source)
-        if name not in passed
+        for line, label, option in declared_options(source)
+        if option not in passed
     ]
 
 
 @pytest.fixture(scope="module")
-def passed() -> set[str]:
-    names: set[str] = set()
-    for top in REFERENCING:
-        for path in (ROOT / top).rglob("*.py"):
-            names |= keywords_passed(path.read_text(encoding="utf-8"))
-    return names
+def passed() -> set[Option]:
+    return keywords_passed(
+        path.read_text(encoding="utf-8")
+        for top in REFERENCING
+        for path in (ROOT / top).rglob("*.py")
+    )
 
 
 @pytest.mark.parametrize(
@@ -189,9 +230,24 @@ def test_checker_flags_an_option_never_set():
         "def serve(config, *, retries=3, verbose=False, hook):\n"
         "    return start(config, retries=retries, verbose=verbose, hook=hook)\n"
     )
-    client = "serve(NodeConfig(port=1), hook=print)\nrun(verbose=verbose)\n"
-    passed = keywords_passed(module) | keywords_passed(client)
+    client = "serve(NodeConfig(port=1), hook=print)\nserve(verbose=verbose)\n"
+    passed = keywords_passed([module, client])
     assert unpassed_options(module, passed) == [
         "line 3: NodeConfig.timeout",
         "line 4: serve(retries=)",
+    ]
+
+
+def test_checker_counts_a_keyword_only_for_its_callee():
+    module = (
+        "class Node:\n"
+        "    def __init__(self, *, policy=None, types=None):\n"
+        "        self.types = types\n"
+        "def serve(*, policy=None, types=None):\n"
+        "    return Node(policy=policy, types=types)\n"
+    )
+    client = "serve(types=1)\ndict(policy=2)\n"
+    assert unpassed_options(module, keywords_passed([module, client])) == [
+        "line 2: Node(policy=)",
+        "line 4: serve(policy=)",
     ]

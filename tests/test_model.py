@@ -179,12 +179,12 @@ class TestSubtyping:
             for anc in names:
                 expected = anc in closure[cand]
                 assert is_subtype(view[cand], view[anc], view) == expected
-                assert types.is_subtype_name(cand, anc) == expected
+                assert (anc in types.supertype_chain_of(cand)) == expected
         # An unregistered name is its own chain and a subtype only of itself.
         assert types.supertype_chain_of("Ghost") == ("Ghost",)
-        assert types.is_subtype_name("Ghost", "Ghost")
-        assert not types.is_subtype_name("Ghost", names[0])
-        assert not types.is_subtype_name(names[0], "Ghost")
+        assert "Ghost" in types.supertype_chain_of("Ghost")
+        assert names[0] not in types.supertype_chain_of("Ghost")
+        assert "Ghost" not in types.supertype_chain_of(names[0])
 
     def test_antisymmetry_up_to_name(self):
         view = self.view()
@@ -216,6 +216,31 @@ class TestDescriptors:
                 "X",
                 fields=(FieldDescriptor("f", "i64"), FieldDescriptor("f", "string")),
             )
+
+    def test_duplicates_name_the_type_and_member(self):
+        m = MethodDescriptor("m", ("i64",))
+        with pytest.raises(ValueError, match=r"^X: duplicate method m/1$"):
+            TypeDescriptor("X", methods=(m, MethodDescriptor("n"), m))
+        f = FieldDescriptor("f", "i64")
+        with pytest.raises(ValueError, match=r"^X: duplicate field f$"):
+            TypeDescriptor("X", fields=(f, f))
+
+    def test_find_method_requires_an_arity(self):
+        desc = TypeDescriptor("X", methods=(MethodDescriptor("m", ()),))
+        with pytest.raises(TypeError):
+            desc.find_method("m")
+
+    def test_indexes_match_the_members(self):
+        get = MethodDescriptor("get", (), "i64")
+        put = MethodDescriptor("put", ("i64",))
+        put2 = MethodDescriptor("put", ("i64", "i64"))
+        f = FieldDescriptor("f", "i64")
+        desc = TypeDescriptor("X", fields=(f,), methods=(get, put, put2))
+        assert desc.method_names == {"get", "put"}
+        assert desc.field_names == {"f"}
+        assert desc.find_method("put", 2) is put2 and desc.find_method("put", 0) is None
+        assert desc.field("f") is f and desc.field("g") is None
+        assert desc == TypeDescriptor("X", fields=(f,), methods=(get, put, put2))
 
 
 class TestRior:

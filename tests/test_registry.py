@@ -56,7 +56,7 @@ def services(types):
 
 class TestRegisterType:
     def test_demo_node_registered_with_accessors(self, types):
-        desc = types.get("P2PNode")
+        desc = types.lookup("P2PNode").descriptor
         declared = {"addPeer", "route", "getLog", "stop", "start", "getKey"}
         names = {m.name for m in desc.methods}
         assert declared <= names
@@ -145,8 +145,8 @@ class TestAccessorSynthesis:
 
     def test_idempotent_on_registered_descriptor(self, types):
         # Registration already merged the accessors; a second pass adds nothing.
-        assert synthesize_accessors(types.get("P2PNode")) == []
-        assert synthesize_accessors(types.get("IP2PNode")) == []
+        assert synthesize_accessors(types.lookup("P2PNode").descriptor) == []
+        assert synthesize_accessors(types.lookup("IP2PNode").descriptor) == []
 
 
 class TestDeploy:
@@ -231,6 +231,30 @@ class TestDeploy:
         sk = services.lookup("w-admin")
         assert invoke_local(sk, "hidden", []) == 2
         assert rior2.guid != rior.guid
+
+    def test_concrete_deploys_share_one_interface(self, services, types):
+        class Widget:
+            def visible(self):
+                return 1
+
+            def hidden(self):
+                return 2
+
+        desc = TypeDescriptor(
+            "Widget",
+            methods=(
+                MethodDescriptor("visible", (), "i64"),
+                MethodDescriptor("hidden", (), "i64", visibility=NON_PUBLIC),
+            ),
+        )
+        types.register_type(desc, MethodTable.for_class(Widget, desc), py_type=Widget)
+        first = services.deploy(Widget()).interface_descriptor
+        assert services.deploy(Widget()).interface_descriptor is first
+        assert first.method_names == {"visible"}
+        # With every method public the registered descriptor itself is exposed.
+        node = services.deploy(P2PNode(Key("k"))).interface_descriptor
+        assert services.deploy(P2PNode(Key("j"))).interface_descriptor is node
+        assert node is types.lookup("P2PNode").descriptor
 
     def test_deploy_does_not_disturb_object(self, services):
         node = P2PNode(Key("k"))
@@ -362,4 +386,4 @@ class TestReturnType:
     def test_unknown_method(self, services):
         services.deploy(P2PNode(Key("k")), IMANAGE, "Manage")
         iface = services.lookup("Manage").interface_descriptor
-        assert not iface.has_method_named("route")
+        assert "route" not in iface.method_names

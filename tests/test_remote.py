@@ -85,6 +85,13 @@ class TestGetObjectByName:
         with pytest.raises(NetworkFault):
             pair.b.get_object_by_name("127.0.0.1", 9, "P2P")
 
+    def test_any_name_reaches_its_own_service(self, pair):
+        host, port = a_addr(pair)
+        names = ["my service", "a?b", "café", "x%41", "a/b", "xA"]
+        guids = {name: pair.a.deploy(Key(name), None, name).guid for name in names}
+        for name in names:
+            assert pair.b.get_object_by_name(host, port, name).rior.guid == guids[name]
+
 
 class TestResolveIncomingRior:
     def test_local_loops_back_to_object(self, pair, deployed):
@@ -309,6 +316,23 @@ class TestProxyCache:
         assert peer_on_b.getKey().get_value() == "c-key"
 
 
+def register_poke_types(types):
+    """IDerived extends IBase; Impl offers both. Returns the Impl class."""
+    poke = (MethodDescriptor("poke", (), "i64"),)
+    types.register_type(TypeDescriptor("IBase", methods=poke, is_interface=True))
+    types.register_type(
+        TypeDescriptor("IDerived", supertype_name="IBase", methods=poke, is_interface=True)
+    )
+
+    class Impl:
+        def poke(self):
+            return 99
+
+    impl = TypeDescriptor("Impl", methods=poke)
+    types.register_type(impl, MethodTable.for_class(Impl, impl), py_type=Impl)
+    return Impl
+
+
 class TestAutoDeploy:
     def test_case1_reuses_concrete_deployment(self, pair):
         key = Key("x")
@@ -346,6 +370,19 @@ class TestAutoDeploy:
         assert rior.interface_descriptor.type_name == "IDerived"
         assert rior.service_name == "narrow"
         assert len(pair.a.services) == before
+
+    def test_case2_narrowest_wins_when_deployed_first(self, pair):
+        obj = register_poke_types(pair.a.types)()
+        pair.a.deploy(obj, "IDerived", "narrow")
+        pair.a.deploy(obj, "IBase", "wide")
+        assert auto_deploy(pair.a, obj, "IBase").service_name == "narrow"
+        assert auto_deploy(pair.a, obj, "IDerived").service_name == "narrow"
+
+    def test_case2_equal_depth_picks_newest(self, pair):
+        obj = register_poke_types(pair.a.types)()
+        pair.a.deploy(obj, "IBase", "old")
+        pair.a.deploy(obj, "IBase", "new")
+        assert auto_deploy(pair.a, obj, "IBase").service_name == "new"
 
     def test_case3_new_service_concrete_type(self, pair):
         key = Key("escaping")

@@ -128,6 +128,15 @@ class TestCliCall:
         )
         assert main(["call", address, "P2P", "route", key_doc]) == 0
 
+    def test_any_service_name_is_quoted(self, live_node, capsys):
+        address = f"{live_node.endpoint.host}:{live_node.endpoint.port}"
+        names = ["my service", "a?b", "café", "x%41", "a/b", "xA"]
+        for name in names:
+            live_node.deploy(Key(name), None, name)
+        for name in names:
+            assert main(["call", address, name, "get_value"]) == 0
+            assert json.loads(capsys.readouterr().out)["v"] == name
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -225,6 +234,19 @@ class TestCliNode:
         finally:
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=10) == 0
+
+    def test_node_subcommand_stops_on_sigterm(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rrt.toolkit.cli", "node", "--port", "0"],
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert "listening on http://" in proc.stderr.readline()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0 and err == ""
 
     def test_env_port_override(self, tmp_path):
         import os
