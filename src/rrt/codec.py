@@ -81,7 +81,6 @@ class Request:
     method: str
     args: tuple[dict, ...] = ()
     peer_kind: str = "rrt"
-    rrt_version: int = RRT_VERSION
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
@@ -159,7 +158,7 @@ class MessageEncoder:
         prior = self._seen.get(id(value))
         if prior is not None:
             return {"k": "backref", "id": prior}
-        descriptor = self._registry.descriptor_of(value)
+        descriptor = self._registry.type_of(value).descriptor
         if depth is not UNBOUNDED and level > depth:
             return self._ref(value, signature or descriptor.type_name)
         _check_nesting(nesting, WireFormatError)
@@ -407,7 +406,7 @@ def doc_to_descriptor(doc: object) -> TypeDescriptor:
 
 def rior_to_doc(rior: RIOR) -> dict:
     # Cache keys are emitted sorted so equal references always yield equal bytes.
-    names = sorted(rior.cached_field_names)
+    names = sorted(rior.cached_field_snapshot)
     return {
         "host": rior.endpoint.host,
         "port": rior.endpoint.port,
@@ -431,13 +430,15 @@ def doc_to_rior(doc: object, registry=None) -> RIOR:
         cache = doc.get("cache") or {"fields": {}, "accessors": []}
         if not isinstance(cache, dict):
             raise ProtocolError("cache section must be an object")
+        snapshot = _req(cache, "fields", dict)
+        if frozenset(_req(cache, "accessors", list)) != snapshot.keys():
+            raise ProtocolError("cache accessors must name exactly the cached fields")
         return RIOR(
             endpoint=Endpoint(_req(doc, "host", str), _req(doc, "port", int)),
             guid=GUID.parse(_req(doc, "guid", str)),
             service_name=doc.get("name"),
             interface_descriptor=_interface(_req(doc, "iface", dict), registry),
-            cached_field_names=frozenset(_req(cache, "accessors", list)),
-            cached_field_snapshot=_req(cache, "fields", dict),
+            cached_field_snapshot=snapshot,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed remote reference: {exc}") from exc
@@ -474,7 +475,7 @@ def encode_request(req: Request) -> bytes:
     """The request's bytes; over ``MAX_REQUEST_BYTES`` no node would accept them."""
     data = canonical_bytes(
         {
-            "rrt": req.rrt_version,
+            "rrt": RRT_VERSION,
             "target": req.target,
             "method": req.method,
             "args": list(req.args),

@@ -12,6 +12,7 @@ import secrets
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
+from urllib.parse import quote
 
 # Semantic type names understood without registration.
 PRIMITIVE_TYPES = frozenset({"i64", "f64", "bool", "string"})
@@ -108,10 +109,10 @@ class Endpoint:
 
 
 def service_url(endpoint: Endpoint, name_or_guid: str) -> str:
-    """Address of a deployed service: http://<host>:<port>/<name or GUID>."""
+    """Address of a deployed service: http://<host>:<port>/<quoted name or GUID>."""
     if not name_or_guid:
         raise ValueError("service name or GUID must be non-empty")
-    return f"http://{endpoint.host}:{endpoint.port}/{name_or_guid}"
+    return f"http://{endpoint.host}:{endpoint.port}/{quote(name_or_guid, safe='')}"
 
 
 @dataclass(frozen=True)
@@ -204,26 +205,21 @@ class TypeDescriptor:
 class RIOR:
     """Interoperable remote reference: where a service lives and how to talk to it.
 
-    ``cached_field_snapshot`` maps field names to the wire documents of their
-    values, recorded immediately before the reference was serialized; its
-    keys always equal ``cached_field_names``.
+    ``cached_field_snapshot`` maps each cached interface field to the wire
+    document of its value, recorded immediately before the reference was sent.
     """
 
     endpoint: Endpoint
     guid: GUID
     service_name: str | None = None
     interface_descriptor: TypeDescriptor = field(default_factory=lambda: TypeDescriptor("object"))
-    cached_field_names: frozenset[str] = frozenset()
     cached_field_snapshot: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "cached_field_names", frozenset(self.cached_field_names))
         object.__setattr__(self, "cached_field_snapshot", dict(self.cached_field_snapshot))
-        unknown = self.cached_field_names - self.interface_descriptor.field_names
+        unknown = self.cached_field_snapshot.keys() - self.interface_descriptor.field_names
         if unknown:
             raise ValueError(f"cached fields not on interface: {sorted(unknown)}")
-        if set(self.cached_field_snapshot) != self.cached_field_names:
-            raise ValueError("cached-field snapshot keys must equal cached_field_names")
 
     @property
     def url(self) -> str:

@@ -84,14 +84,10 @@ class RRTNode:
         self._counter_lock = threading.Lock()
         self._httpd: _NodeHTTPServer | None = None
         self._thread: threading.Thread | None = None
-        self._bound_port: int | None = None
+        # Where this node's references point; start() sets the bound port.
+        self.endpoint = Endpoint(self.config.host, self.config.port or DEFAULT_PORT)
 
     # -- identity & lifecycle -------------------------------------------------
-
-    @property
-    def endpoint(self) -> Endpoint:
-        port = self._bound_port if self._bound_port else self.config.port
-        return Endpoint(self.config.host, port or DEFAULT_PORT)
 
     @property
     def running(self) -> bool:
@@ -103,7 +99,7 @@ class RRTNode:
             raise ConfigError("node already running")
         self._httpd = _NodeHTTPServer((self.config.host, self.config.port), _Handler)
         self._httpd.node = self
-        self._bound_port = self._httpd.server_address[1]
+        self.endpoint = Endpoint(self.config.host, self._httpd.server_address[1])
         try:
             self._apply_startup_files()
         except Exception:
@@ -111,7 +107,7 @@ class RRTNode:
             raise
         self._thread = threading.Thread(
             target=lambda: self._httpd.serve_forever(poll_interval=0.05),
-            name=f"rrt-node-{self._bound_port}",
+            name=f"rrt-node-{self.endpoint.port}",
             daemon=True,
         )
         self._thread.start()
@@ -182,14 +178,9 @@ class RRTNode:
     # -- application surface ----------------------------------------------------
 
     def deploy(self, obj, interface=None, name: str | None = None) -> RIOR:
-        """Expose a live object as a service and return its remote reference."""
-        skeleton = self.services.deploy(obj, interface, name)
-        return RIOR(
-            endpoint=self.endpoint,
-            guid=skeleton.guid,
-            service_name=skeleton.service_name,
-            interface_descriptor=skeleton.interface_descriptor,
-        )
+        """Expose a live object as a service and return its remote reference,
+        the same one ``/describe`` serves for it, snapshot included."""
+        return remote.build_rior(self, self.services.deploy(obj, interface, name))
 
     def get_object_by_name(self, host: str, port: int, name: str):
         return remote.get_object_by_name(self, host, port, name)
@@ -238,7 +229,7 @@ class RRTNode:
                     "name": sk.service_name,
                     "guid": sk.guid.hex,
                     "interface_name": sk.interface_descriptor.type_name,
-                    "object_repr": f"{sk.concrete_type_name}@{sk.guid.hex[:8]}",
+                    "object_repr": f"{sk.concrete.descriptor.type_name}@{sk.guid.hex[:8]}",
                 }
             )
         return out
@@ -357,6 +348,9 @@ class _NodeHTTPServer(ThreadingHTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """Routes on the raw path and unquotes only the service id in it, so an
+    id may hold a quoted "/" or "?"."""
+
     protocol_version = "HTTP/1.1"
     timeout = IDLE_TIMEOUT
     disable_nagle_algorithm = True
@@ -382,7 +376,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         node = self.server.node
-        path = unquote(self.path.split("?", 1)[0])
+        path = self.path.split("?", 1)[0]
         if path in ("/", "/browse"):
             self._send(200, node.browse_html().encode("utf-8"), "text/html; charset=utf-8")
             return
@@ -390,11 +384,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, node.list_services())
             return
         if path.startswith("/describe/"):
-            self._describe(node, path[len("/describe/"):])
+            self._describe(node, unquote(path[len("/describe/"):]))
             return
         tail = path.lstrip("/")
         if tail and "/" not in tail:
-            self._describe(node, tail)
+            self._describe(node, unquote(tail))
             return
         self._send_json(404, {"error": f"no such endpoint: {path}"})
 
@@ -408,14 +402,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         node = self.server.node
-        path = unquote(self.path.split("?", 1)[0])
+        path = self.path.split("?", 1)[0]
         if not path.startswith("/invoke/"):
             self._reject(404, f"no such endpoint: {path}")
             return
         body = self._read_body()
         if body is None:
             return
-        response = node.handle_invoke(path[len("/invoke/"):], body)
+        response = node.handle_invoke(unquote(path[len("/invoke/"):]), body)
         self._send(200, codec.encode_response(response), "application/json")
 
     def _read_body(self) -> bytes | None:

@@ -173,7 +173,7 @@ class TypeRegistry:
 
     def __init__(self):
         self._types: dict[str, RegisteredType] = {}
-        self._by_class: dict[type, str] = {}
+        self._by_class: dict[type, RegisteredType] = {}
         self._lock = threading.RLock()
 
     def register_type(
@@ -188,12 +188,14 @@ class TypeRegistry:
 
         Accessor methods are synthesized from the field list and merged into
         both the descriptor and the table. Non-interface types must supply a
-        binding for every declared method.
+        binding for every declared method; interface types have no class.
         """
         with self._lock:
             name = descriptor.type_name
             if name in self._types:
                 raise TypeRegistrationError(f"type name already registered: {name}")
+            if descriptor.is_interface and py_type is not None:
+                raise TypeRegistrationError(f"{name}: an interface type has no class")
             lineage: tuple[str, ...] = (name,)
             if descriptor.supertype_name is not None:
                 # Supertypes register first, so no lineage can hold a cycle.
@@ -232,7 +234,7 @@ class TypeRegistry:
 
             if factory is None and py_type is not None:
                 factory = py_type
-            self._types[name] = RegisteredType(
+            rt = self._types[name] = RegisteredType(
                 descriptor=merged,
                 method_table=merged_table,
                 lineage=lineage,
@@ -240,22 +242,20 @@ class TypeRegistry:
                 factory=factory,
             )
             if py_type is not None:
-                self._by_class[py_type] = name
+                self._by_class[py_type] = rt
             return name
 
     def lookup(self, type_name: str) -> RegisteredType | None:
         return self._types.get(type_name)
 
-    def descriptor_of(self, value: object) -> TypeDescriptor:
-        name = self._by_class.get(type(value))
-        if name is None:
+    def type_of(self, value: object) -> RegisteredType:
+        """The registered type of a live value's exact class."""
+        rt = self._by_class.get(type(value))
+        if rt is None:
             raise UnregisteredTypeError(
                 f"no registered descriptor for class {type(value).__name__}"
             )
-        return self._types[name].descriptor
-
-    def registered_name_of(self, value: object) -> str | None:
-        return self._by_class.get(type(value))
+        return rt
 
     def supertype_chain_of(self, type_name: str) -> tuple[str, ...]:
         """The type's lineage, most derived first; an unregistered name alone."""
@@ -267,17 +267,16 @@ class TypeRegistry:
 class Skeleton:
     """Server-side binding of one deployed service to its live object.
 
-    One skeleton per deployed service. It shares its concrete type's method
-    table; ``invoke_local`` admits only the deployment interface's methods,
-    and deploy's compliance check ensures each of them has a binding.
+    One skeleton per deployed service, dispatching through its concrete type's
+    method table; ``invoke_local`` admits only the deployment interface's
+    methods, and deploy's compliance check ensures each of them has a binding.
     """
 
     service_object: object
     interface_descriptor: TypeDescriptor
-    method_table: MethodTable
+    concrete: RegisteredType
     guid: GUID
     service_name: str | None
-    concrete_type_name: str
 
 
 class ServiceRegistry:
@@ -305,16 +304,17 @@ class ServiceRegistry:
         existing local references keep working unchanged.
         """
         with self._lock:
-            concrete = self.types.descriptor_of(obj)
-            concrete_rt = self.types.lookup(concrete.type_name)
-            assert concrete_rt is not None and concrete_rt.method_table is not None
+            concrete = self.types.type_of(obj)
             iface = (
-                concrete_rt.public_interface if interface is None
-                else self._resolve_interface(concrete, interface)
+                concrete.public_interface if interface is None
+                else self._resolve_interface(concrete.descriptor, interface)
             )
             if name is not None:
-                if not name:
-                    raise DeploymentError("service name must be non-empty")
+                # GUID text would shadow that GUID's service: lookup tries names first.
+                if not isinstance(name, str) or not name or _is_guid_text(name):
+                    raise DeploymentError(
+                        f"service name must be non-empty text and not a GUID: {name!r}"
+                    )
                 if name in self._by_name:
                     raise DeploymentError(f"service name already in use: {name}")
             guid = guid_new(self._guid_source)
@@ -324,10 +324,9 @@ class ServiceRegistry:
             skeleton = Skeleton(
                 service_object=obj,
                 interface_descriptor=iface,
-                method_table=concrete_rt.method_table,
+                concrete=concrete,
                 guid=guid,
                 service_name=name,
-                concrete_type_name=concrete.type_name,
             )
             self._by_guid[guid] = skeleton
             if name is not None:
@@ -400,6 +399,14 @@ class ServiceRegistry:
             return len(self._by_guid)
 
 
+def _is_guid_text(text: str) -> bool:
+    try:
+        GUID.parse(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _compliant(concrete: TypeDescriptor, wanted: MethodDescriptor) -> bool:
     """Strict structural compliance: name, arity, parameter types, return type."""
     have = concrete.find_method(wanted.name, wanted.arity)
@@ -429,7 +436,7 @@ def invoke_local(skeleton: Skeleton, method: str, args: Sequence[object]) -> obj
             f"method {method!r} not in deployment interface {iface.type_name}"
         )
     _check_args(md, args)
-    binding = skeleton.method_table.get(method, len(args))
+    binding = skeleton.concrete.method_table.get(method, len(args))
     assert binding is not None  # deploy checked that the concrete type has it
     try:
         return binding(skeleton.service_object, list(args))

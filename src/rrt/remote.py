@@ -26,7 +26,6 @@ from .errors import (
     ProtocolError,
     ServiceNotFound,
     UnknownMethodError,
-    UnregisteredTypeError,
 )
 from .model import (
     GUID,
@@ -278,7 +277,7 @@ def actual_type_name_of(node, value: object) -> str:
         return SEQUENCE_TYPE
     if isinstance(value, RemoteProxyBase):
         return value.rior.interface_descriptor.type_name
-    return node.types.descriptor_of(value).type_name
+    return node.types.type_of(value).descriptor.type_name
 
 
 def remote_invoke(node, handle: Handle, method: str, args: list) -> object:
@@ -361,11 +360,7 @@ def auto_deploy(node, obj: object, signature_type_name: str | None = None) -> RI
     if isinstance(obj, RemoteProxyBase):
         return obj.rior
     services = node.services
-    concrete_name = node.types.registered_name_of(obj)
-    if concrete_name is None:
-        raise UnregisteredTypeError(
-            f"cannot auto-deploy unregistered class {type(obj).__name__}"
-        )
+    concrete_name = node.types.type_of(obj).descriptor.type_name
     deployments = services.deployments_of(obj)
     for sk in deployments:
         if sk.interface_descriptor.type_name == concrete_name:
@@ -400,12 +395,10 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
     """
     iface = skeleton.interface_descriptor
     cached = node.policy.cached_fields_for(
-        node.types.supertype_chain_of(skeleton.concrete_type_name)
-        + node.types.supertype_chain_of(iface.type_name)
+        skeleton.concrete.lineage + node.types.supertype_chain_of(iface.type_name)
     )
-    names = frozenset(n for n in cached if n in iface.field_names)
     snapshot: dict[str, object] = {}
-    for fname in sorted(names):
+    for fname in sorted(cached & iface.field_names):
         value = getattr(skeleton.service_object, fname)
         snapshot[fname] = codec.encode_value(
             value,
@@ -419,6 +412,5 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
         guid=skeleton.guid,
         service_name=skeleton.service_name,
         interface_descriptor=iface,
-        cached_field_names=names,
         cached_field_snapshot=snapshot,
     )

@@ -66,7 +66,6 @@ class Deployer:
             guid=guid_new(lambda: self._rnd.randbytes(16)),
             service_name=None,
             interface_descriptor=support.GNODE_TYPE,
-            cached_field_names=frozenset(SNAPSHOT_FIELDS),
             cached_field_snapshot=snapshot,
         )
         self.deployed[rior.guid] = (obj, rior)

@@ -106,7 +106,7 @@ def graphs_equal(registry: TypeRegistry, a, b) -> bool:
         if id(x) in a2b or id(y) in b2a:
             return a2b.get(id(x)) == id(y) and b2a.get(id(y)) == id(x)
         try:
-            desc = registry.descriptor_of(x)
+            desc = registry.type_of(x).descriptor
         except Exception:
             return False
         if type(x) is not type(y):
@@ -143,7 +143,7 @@ def prim_leaves(registry: TypeRegistry, root, depth) -> list:
         if depth is not UNBOUNDED and level > depth:
             return
         seen.add(id(value))
-        for f in registry.descriptor_of(value).fields:
+        for f in registry.type_of(value).descriptor.fields:
             walk(getattr(value, f.name), level + 1)
 
     walk(root, 1)
@@ -205,7 +205,6 @@ def gen_rior(rnd: random.Random) -> RIOR:
         guid=guid_new(lambda: rnd.randbytes(16)),
         service_name=_name(rnd) if rnd.random() < 0.5 else None,
         interface_descriptor=iface,
-        cached_field_names=cached,
         cached_field_snapshot=snapshot,
     )
 

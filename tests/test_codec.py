@@ -334,6 +334,21 @@ class TestRiorDocument:
         doc = rior_to_doc(support.gen_rior(rnd))
         assert list(doc) == ["host", "port", "guid", "name", "iface", "cache"]
 
+    @pytest.mark.parametrize("accessors", [[], ["f1"], ["f0", "f1"], [["f0"]], [None]])
+    def test_accessors_must_name_the_cached_fields(self, accessors):
+        fields = (FieldDescriptor("f0", "i64"), FieldDescriptor("f1", "i64"))
+        rior = RIOR(
+            Endpoint("h", 1),
+            guid_new(),
+            interface_descriptor=TypeDescriptor("I", fields=fields),
+            cached_field_snapshot={"f0": prim("i64", 1)},
+        )
+        doc = rior_to_doc(rior)
+        assert doc["cache"]["accessors"] == ["f0"] and doc_to_rior(doc) == rior
+        doc["cache"]["accessors"] = accessors
+        with pytest.raises(ProtocolError):
+            doc_to_rior(doc)
+
     def test_malformed_rior(self):
         with pytest.raises(ProtocolError):
             doc_to_rior({"host": "h"})

@@ -1,7 +1,7 @@
 """Every name a runtime module imports is used in that module; every
 module-level name a runtime module defines is referenced somewhere in the
 runtime, its tests or its benchmark; and every option a runtime module
-declares is set somewhere there, by a call of that very function."""
+declares is set somewhere there, by a call of that very function or class."""
 
 from __future__ import annotations
 
@@ -115,8 +115,10 @@ def test_checker_flags_an_unreferenced_name():
     assert unreferenced(module, refs) == ["line 4: exported", "line 5: Gone"]
 
 
-#: An option as call sites reach it: (callee name, keyword).
-Option = tuple[str, str]
+#: An option as call sites reach it: (callee name, keyword or argument position).
+Option = tuple[str, str | int]
+#: The keyword of a call that passes ``**`` kwargs, which may set any field.
+ANY_KEYWORD = "**"
 
 
 def _callee(func: ast.expr) -> str | None:
@@ -133,10 +135,42 @@ def _reached_as(node: ast.FunctionDef | ast.AsyncFunctionDef, cls: str | None) -
     return cls if node.name == "__init__" and cls is not None else node.name
 
 
-def declared_options(source: str) -> list[tuple[int, str, Option]]:
-    """(line, label, option) of each defaulted keyword-only parameter and each
-    ``NodeConfig`` field."""
-    options: list[tuple[int, str, Option]] = []
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        _callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _in_init(default: ast.expr | None) -> bool:
+    """False for a field declared ``field(init=False, ...)``."""
+    return not (
+        isinstance(default, ast.Call)
+        and _callee(default.func) == "field"
+        and any(kw.arg == "init" and getattr(kw.value, "value", None) is False
+                for kw in default.keywords)
+    )
+
+
+def _init_fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
+    """The fields a dataclass's ``__init__`` takes, in order."""
+    return [
+        stmt for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and _in_init(stmt.value)
+    ]
+
+
+def declared_options(source: str) -> list[tuple[int, str, tuple[Option, ...]]]:
+    """(line, label, the ways to set it) of each defaulted keyword-only
+    parameter, each ``NodeConfig`` field and each other defaulted dataclass
+    field.
+
+    ``NodeConfig`` fields are set only by keyword. Any other dataclass field
+    is also set by its position, by a call passing ``**`` kwargs, or by a
+    ``replace`` keyword of its name.
+    """
+    options: list[tuple[int, str, tuple[Option, ...]]] = []
 
     def visit(node: ast.AST, cls: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -144,12 +178,19 @@ def declared_options(source: str) -> list[tuple[int, str, Option]]:
             args = node.args
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    options.append((arg.lineno, f"{callee}({arg.arg}=)", (callee, arg.arg)))
+                    options.append((arg.lineno, f"{callee}({arg.arg}=)", ((callee, arg.arg),)))
         elif isinstance(node, ast.ClassDef) and node.name == "NodeConfig":
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                     name = stmt.target.id
-                    options.append((stmt.lineno, f"NodeConfig.{name}", ("NodeConfig", name)))
+                    options.append((stmt.lineno, f"NodeConfig.{name}", (("NodeConfig", name),)))
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for pos, stmt in enumerate(_init_fields(node)):
+                name = stmt.target.id
+                if stmt.value is not None:
+                    ways = ((node.name, name), (node.name, pos),
+                            (node.name, ANY_KEYWORD), ("replace", name))
+                    options.append((stmt.lineno, f"{node.name}.{name}", ways))
         cls = node.name if isinstance(node, ast.ClassDef) else None
         for child in ast.iter_child_nodes(node):
             visit(child, cls)
@@ -159,7 +200,8 @@ def declared_options(source: str) -> list[tuple[int, str, Option]]:
 
 
 def keywords_passed(sources: Iterable[str]) -> set[Option]:
-    """Each (callee, keyword) that some call in the sources passes.
+    """Each (callee, keyword) and (callee, position) that some call in the
+    sources passes; ``**`` kwargs count as the keyword ``ANY_KEYWORD``.
 
     ``x=x`` inside a function f that has a parameter ``x`` forwards that
     parameter, so it counts only if (f, x) is passed somewhere itself.
@@ -174,8 +216,10 @@ def keywords_passed(sources: Iterable[str]) -> set[Option]:
             params = frozenset(p.arg for p in every if p is not None)
             fn = None if isinstance(node, ast.Lambda) else _reached_as(node, cls)
         elif isinstance(node, ast.Call) and (callee := _callee(node.func)) is not None:
+            passed.update((callee, pos) for pos in range(len(node.args)))
             for kw in node.keywords:
                 if kw.arg is None:
+                    passed.add((callee, ANY_KEYWORD))
                     continue
                 option = (callee, kw.arg)
                 forwarded = isinstance(kw.value, ast.Name) and kw.value.id == kw.arg
@@ -201,8 +245,8 @@ def keywords_passed(sources: Iterable[str]) -> set[Option]:
 def unpassed_options(source: str, passed: set[Option]) -> list[str]:
     return [
         f"line {line}: {label}"
-        for line, label, option in declared_options(source)
-        if option not in passed
+        for line, label, ways in declared_options(source)
+        if passed.isdisjoint(ways)
     ]
 
 
@@ -250,4 +294,33 @@ def test_checker_counts_a_keyword_only_for_its_callee():
     assert unpassed_options(module, keywords_passed([module, client])) == [
         "line 2: Node(policy=)",
         "line 4: serve(policy=)",
+    ]
+
+
+def test_checker_flags_a_dataclass_field_never_set():
+    module = (
+        "from dataclasses import dataclass, field, replace\n"
+        "@dataclass(frozen=True)\n"
+        "class Msg:\n"
+        "    target: str\n"
+        "    args: tuple = ()\n"
+        "    peer: str = 'rrt'\n"
+        "    version: int = 1\n"
+        "    size: int = field(default=0)\n"
+        "    cache: dict = field(init=False, default=None)\n"
+        "@dataclass\n"
+        "class Other:\n"
+        "    flag: bool = False\n"
+        "    mode: str = 'a'\n"
+        "class Plain:\n"
+        "    level: int = 0\n"
+    )
+    client = (
+        "Msg('t', (1,))\n"
+        "Msg(target='t', peer='plain')\n"
+        "replace(Msg('t'), size=3)\n"
+        "Other(**options)\n"
+    )
+    assert unpassed_options(module, keywords_passed([module, client])) == [
+        "line 7: Msg.version",
     ]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import binascii
 import random
+from urllib.parse import unquote
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,7 +98,7 @@ class TestServiceUrl:
         ),
         port=st.integers(min_value=1, max_value=65535),
         tail=st.text(
-            alphabet=st.characters(blacklist_characters="/", min_codepoint=33, max_codepoint=126),
+            alphabet=st.characters(min_codepoint=33, max_codepoint=126),
             min_size=1,
             max_size=20,
         ),
@@ -107,7 +108,7 @@ class TestServiceUrl:
         rest = url[len("http://"):]
         loc, _, got_tail = rest.rpartition("/")
         got_host, _, got_port = loc.partition(":")
-        assert (got_host, int(got_port), got_tail) == (host, port, tail)
+        assert (got_host, int(got_port), unquote(got_tail)) == (host, port, tail)
 
 
 def _desc(name, supertype=None, methods=(), is_interface=False):
@@ -253,18 +254,7 @@ class TestRior:
                 Endpoint("h", 1),
                 guid_new(),
                 interface_descriptor=self.iface(),
-                cached_field_names={"nope"},
                 cached_field_snapshot={"nope": None},
-            )
-
-    def test_snapshot_keys_must_match_names(self):
-        with pytest.raises(ValueError):
-            RIOR(
-                Endpoint("h", 1),
-                guid_new(),
-                interface_descriptor=self.iface(),
-                cached_field_names={"key"},
-                cached_field_snapshot={},
             )
 
     def test_url(self):

@@ -7,12 +7,12 @@ import time
 
 import pytest
 
-from rrt.codec import Request, decode_response, encode_request
-from rrt.errors import ConfigError, NetworkFault
+from rrt.codec import Request, canonical_bytes, decode_response, encode_request, rior_to_doc
+from rrt.errors import ConfigError, DeploymentError, NetworkFault
 from rrt.model import MethodDescriptor, PolicyKind, TypeDescriptor
 from rrt.node import MAX_REQUEST_BYTES, NodeConfig, RRTNode, serve
 from rrt.registry import MethodTable, TypeRegistry
-from rrt.toolkit.demo import Key, P2PNode, register_demo_types
+from rrt.toolkit.demo import Key, P2PNode, install_demo_policy, register_demo_types
 from support import prim
 
 
@@ -107,6 +107,15 @@ class TestServe:
         config = NodeConfig(port=0, **{field: tmp_path / "nope"})
         with pytest.raises(ConfigError, match="not readable"):
             serve(config)
+
+    def test_manifest_name_must_be_text(self, tmp_path):
+        manifest = tmp_path / "deploy.json"
+        manifest.write_text(json.dumps([{"type": "P2PNode", "constructor_args": ["k"],
+                                         "name": 5}]))
+        types = TypeRegistry()
+        register_demo_types(types)
+        with pytest.raises(DeploymentError, match="non-empty text"):
+            serve(NodeConfig(port=0, deploy_manifest=manifest), types=types)
 
     def test_bad_manifest_aborts(self, tmp_path):
         manifest = tmp_path / "deploy.json"
@@ -326,6 +335,29 @@ class TestDescribeAndBrowse:
     def test_plain_path_alias(self, node):
         status, raw, _ = http_get(node, "/P2P")
         assert status == 200 and json.loads(raw)["name"] == "P2P"
+
+    def test_deploy_returns_the_described_reference(self, node_factory):
+        n = node_factory()
+        install_demo_policy(n)  # clients cache P2PNode.key
+        rior = n.deploy(P2PNode(Key("k")), "IP2PNode", "P2P")
+        assert set(rior.cached_field_snapshot) == {"key"}
+        status, raw, _ = http_get(n, "/describe/P2P")
+        assert status == 200 and raw == canonical_bytes(rior_to_doc(rior))
+
+    def test_advertised_url_reaches_its_service(self, node_factory):
+        n = node_factory()
+        for decoy in ("a", "xA"):  # what the raw names would have found
+            n.deploy(P2PNode(Key(decoy)), "IP2PNode", decoy)
+        origin = f"http://{n.endpoint.host}:{n.endpoint.port}"
+        for name in ("my service", "café", "a?b", "x%41", "a/b", "100%", "#top"):
+            rior = n.deploy(P2PNode(Key(name)), "IP2PNode", name)
+            assert rior.url.startswith(origin + "/")
+            path = rior.url[len(origin):]
+            for route in (path, "/describe" + path):
+                status, raw, _ = http_get(n, route)
+                assert status == 200 and json.loads(raw)["guid"] == rior.guid.hex, route
+            status, raw = http_post(n, "/invoke" + path, encode_request(Request(name, "getKey")))
+            assert status == 200 and decode_response(raw).ok, name
 
     def test_describe_unknown_404(self, node):
         status, raw, _ = http_get(node, "/describe/ghost")

@@ -82,6 +82,21 @@ class TestRegisterType:
             t.register_type(TypeDescriptor("Self", supertype_name="Self"))
         assert t.lookup("Child") is None and t.lookup("Self") is None
 
+    def test_interface_type_has_no_class(self):
+        # So every type a live object maps to has bindings to dispatch through.
+        class Bird:
+            def fly(self):
+                pass
+
+        desc = TypeDescriptor("IBird", methods=(MethodDescriptor("fly"),), is_interface=True)
+        with pytest.raises(TypeRegistrationError, match="interface"):
+            TypeRegistry().register_type(desc, py_type=Bird)
+
+    def test_type_of_maps_a_class_to_its_registered_type(self, types):
+        assert types.type_of(P2PNode(Key("k"))) is types.lookup("P2PNode")
+        with pytest.raises(UnregisteredTypeError):
+            types.type_of(object())
+
     def test_returns_type_id(self):
         t = TypeRegistry()
         assert t.register_type(TypeDescriptor("Thing")) == "Thing"
@@ -171,7 +186,6 @@ class TestDeploy:
         rior = node.deploy(P2PNode(Key("k")), "IP2PNode", "P2P")
         assert rior.service_name == "P2P"
         assert rior.endpoint == EP
-        assert rior.cached_field_names == frozenset()
         assert rior.cached_field_snapshot == {}
 
     def test_noncompliant_interface_rejected(self, services, types):
@@ -186,6 +200,20 @@ class TestDeploy:
         services.deploy(node, IP2PNODE, "P2P")
         with pytest.raises(DeploymentError, match="already in use"):
             services.deploy(node, IP2PNODE, "P2P")
+
+    def test_guid_text_name_rejected(self, services):
+        # lookup tries names first, so this name would take over P2P's calls.
+        p2p = services.deploy(P2PNode(Key("k")), IP2PNODE, "P2P")
+        with pytest.raises(DeploymentError, match="GUID"):
+            services.deploy(P2PNode(Key("impostor")), IP2PNODE, p2p.guid.hex)
+        assert services.lookup(p2p.guid.hex) is p2p
+        assert len(services) == 1
+
+    @pytest.mark.parametrize("name", [5, b"P2P", ("P2P",), ""])
+    def test_non_text_name_rejected(self, services, name):
+        with pytest.raises(DeploymentError, match="non-empty text"):
+            services.deploy(P2PNode(Key("k")), IP2PNODE, name)
+        assert len(services) == 0
 
     def test_unregistered_type_rejected(self, services):
         class Stranger:

@@ -108,7 +108,7 @@ class TestResolveIncomingRior:
     def test_snapshot_initializes_cached_fields(self, pair, deployed):
         install_demo_policy(pair.a)
         rior = build_rior(pair.a, pair.a.services.lookup("P2P"))
-        assert rior.cached_field_names == {"key"}
+        assert rior.cached_field_snapshot.keys() == {"key"}
         handle = resolve_incoming_rior(pair.b, rior)
         assert isinstance(handle.cached_fields["key"], Key)
         assert handle.cached_fields["key"].value == "node-key"
