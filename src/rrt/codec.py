@@ -376,29 +376,32 @@ def descriptor_to_doc(desc: TypeDescriptor) -> dict:
 
 
 def doc_to_descriptor(doc: object) -> TypeDescriptor:
+    """Parse a type document; every name is text and every flag a boolean."""
     if not isinstance(doc, dict):
         raise ProtocolError("type descriptor must be an object")
     try:
         fields = tuple(
-            FieldDescriptor(f["name"], f["type"], bool(f["mutable"]))
+            FieldDescriptor(
+                _req(f, "name", str), _req(f, "type", str), _req(f, "mutable", bool)
+            )
             for f in _req(doc, "fields", list)
         )
         methods = tuple(
             MethodDescriptor(
-                m["name"],
-                tuple(m["params"]),
-                m["returns"],
-                bool(m["network_fault"]),
+                _req(m, "name", str),
+                tuple(_text(p, "parameter type") for p in _req(m, "params", list)),
+                _req(m, "returns", str),
+                _req(m, "network_fault", bool),
                 m.get("visibility", PUBLIC),
             )
             for m in _req(doc, "methods", list)
         )
         return TypeDescriptor(
             type_name=_req(doc, "name", str),
-            supertype_name=doc.get("supertype"),
+            supertype_name=_text(doc.get("supertype"), "supertype", null=True),
             fields=fields,
             methods=methods,
-            is_interface=bool(_req(doc, "interface", bool)),
+            is_interface=_req(doc, "interface", bool),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed type descriptor: {exc}") from exc
@@ -427,7 +430,7 @@ def doc_to_rior(doc: object, registry=None) -> RIOR:
     if not isinstance(doc, dict):
         raise ProtocolError("remote reference must be an object")
     try:
-        cache = doc.get("cache") or {"fields": {}, "accessors": []}
+        cache = doc.get("cache", {"fields": {}, "accessors": []})
         if not isinstance(cache, dict):
             raise ProtocolError("cache section must be an object")
         snapshot = _req(cache, "fields", dict)
@@ -436,7 +439,7 @@ def doc_to_rior(doc: object, registry=None) -> RIOR:
         return RIOR(
             endpoint=Endpoint(_req(doc, "host", str), _req(doc, "port", int)),
             guid=GUID.parse(_req(doc, "guid", str)),
-            service_name=doc.get("name"),
+            service_name=_text(doc.get("name"), "service name", null=True),
             interface_descriptor=_interface(_req(doc, "iface", dict), registry),
             cached_field_snapshot=snapshot,
         )
@@ -446,15 +449,23 @@ def doc_to_rior(doc: object, registry=None) -> RIOR:
 
 def _interface(doc: dict, registry) -> TypeDescriptor:
     rt = registry.lookup(doc.get("name")) if registry is not None else None
-    # JSON's 1 equals true, so the one strictly boolean key is also compared
-    # by identity: a document the full parse would refuse is never reused.
+    # JSON's 1 equals true, so the strictly boolean keys are also checked by
+    # type: a document the full parse would refuse is never reused.
     if (
         rt is not None
         and doc == rt.descriptor_doc
-        and doc["interface"] is rt.descriptor.is_interface
+        and type(doc["interface"]) is bool
+        and all(type(f["mutable"]) is bool for f in doc["fields"])
+        and all(type(m["network_fault"]) is bool for m in doc["methods"])
     ):
         return rt.descriptor
     return doc_to_descriptor(doc)
+
+
+def _text(value: object, what: str, null: bool = False) -> str | None:
+    if isinstance(value, str) or (null and value is None):
+        return value
+    raise ProtocolError(f"{what} must be text{' or null' if null else ''}, got {value!r}")
 
 
 def _req(doc: dict, key: str, typ: type):
@@ -516,7 +527,8 @@ def encode_response(resp: Response) -> bytes:
             "fault": {
                 "kind": resp.fault.kind,
                 "class": resp.fault.fault_class,
-                "message": resp.fault.message,
+                # Text UTF-8 cannot carry (a lone surrogate) must not lose the answer.
+                "message": resp.fault.message.encode("utf-8", "replace").decode("utf-8"),
             },
         }
     )

@@ -263,16 +263,15 @@ class RRTNode:
             f"{body}\n</table></body></html>\n"
         )
 
-    def handle_invoke(self, service_id: str, body: bytes) -> Response:
-        """Decode, dispatch, and encode one invocation; faults become envelopes."""
+    def handle_invoke(self, service_id: str, body: bytes) -> bytes:
+        """Decode, dispatch and encode one invocation; every failure, the
+        encoding of the answer included, becomes a fault envelope."""
         with self._counter_lock:
             self.invoke_requests += 1
         try:
             request = codec.decode_request(body)
             skeleton = self.services.lookup(service_id)
-            decoder = codec.MessageDecoder(
-                self.types, resolve_ref=lambda r: remote.resolve_incoming_rior(self, r)
-            )
+            decoder = remote.value_decoder(self)
             args = [decoder.decode(w) for w in request.args]
             result = invoke_local(skeleton, request.method, args)
             md = skeleton.interface_descriptor.find_method(request.method, len(args))
@@ -285,22 +284,13 @@ class RRTNode:
             )
             decision = self.policy.resolve(ctx)
             self.observe_decision("return", ctx.actual_type_name, decision)
-            wire = codec.encode_value(
-                result,
-                decision,
-                registry=self.types,
-                deploy_ref=lambda obj, sig: remote.auto_deploy(self, obj, sig),
-                declared_type=md.return_type,
-            )
-            return Response(ok=True, result=wire)
+            wire = remote.value_encoder(self).encode(result, decision, md.return_type)
+            return codec.encode_response(Response(ok=True, result=wire))
         except ApplicationFault as exc:
-            return Response(
-                ok=False, fault=Fault("application", exc.fault_class, exc.message)
-            )
+            fault = Fault("application", exc.fault_class, exc.message)
         except Exception as exc:  # noqa: BLE001 - the endpoint never aborts
-            return Response(
-                ok=False, fault=Fault("protocol", type(exc).__name__, str(exc))
-            )
+            fault = Fault("protocol", type(exc).__name__, str(exc))
+        return codec.encode_response(Response(ok=False, fault=fault))
 
 
 class _NodeHTTPServer(ThreadingHTTPServer):
@@ -409,8 +399,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return
-        response = node.handle_invoke(unquote(path[len("/invoke/"):]), body)
-        self._send(200, codec.encode_response(response), "application/json")
+        answer = node.handle_invoke(unquote(path[len("/invoke/"):]), body)
+        self._send(200, answer, "application/json")
 
     def _read_body(self) -> bytes | None:
         """The request body, or None once an unusable length has been refused."""

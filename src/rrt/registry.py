@@ -310,10 +310,14 @@ class ServiceRegistry:
                 else self._resolve_interface(concrete.descriptor, interface)
             )
             if name is not None:
-                # GUID text would shadow that GUID's service: lookup tries names first.
-                if not isinstance(name, str) or not name or _is_guid_text(name):
+                # GUID text would shadow that GUID's service: lookup tries names
+                # first. Text UTF-8 cannot carry would break every listing.
+                if not isinstance(name, str) or not name or _is_guid_text(name) or (
+                    name.encode("utf-8", "replace").decode("utf-8") != name
+                ):
                     raise DeploymentError(
-                        f"service name must be non-empty text and not a GUID: {name!r}"
+                        "service name must be non-empty text that UTF-8 can carry "
+                        f"and not a GUID: {name!r}"
                     )
                 if name in self._by_name:
                     raise DeploymentError(f"service name already in use: {name}")

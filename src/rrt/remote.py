@@ -13,13 +13,13 @@ decides which methods those are.
 from __future__ import annotations
 
 import http.client
-import socket
+import select
 import threading
 from typing import Callable, Sequence
 from urllib.parse import quote
 
 from . import codec
-from .codec import Request, Response
+from .codec import Request
 from .errors import (
     ApplicationFault,
     NetworkFault,
@@ -50,12 +50,13 @@ class HttpClient:
     """HTTP/1.1 client keeping a small pool of idle keep-alive connections
     per endpoint; every outbound request of a node goes through one.
 
-    An idle connection is reused only while it is not readable: end of file
-    or stray bytes mean the server closed it or the stream is out of step,
-    so it is discarded. A request whose send failed on a reused connection
-    is sent once more on a new one; once a request has been sent in full it
-    is never repeated, because the server may have executed it. Every
-    transport failure raises ``NetworkFault``.
+    An idle connection is reused only while it is not readable: end of file,
+    a reset or stray bytes mean the server closed it or the stream is out of
+    step, so it is discarded. A request whose send failed on a reused
+    connection is sent once more on a new one; once a request has been sent
+    in full it is never repeated, because the server may have executed it.
+    Every transport failure raises ``NetworkFault``; a reply other than 200
+    raises ``ServiceNotFound`` (404) or ``ProtocolError``.
     """
 
     def __init__(self, timeout: float = DEFAULT_TIMEOUT):
@@ -65,8 +66,8 @@ class HttpClient:
 
     def request(
         self, endpoint: Endpoint, method: str, path: str, body: bytes | None = None
-    ) -> tuple[int, bytes]:
-        """Send one request and return (status, body)."""
+    ) -> bytes:
+        """Send one request and return the body of its 200 reply."""
         headers = _POST_HEADERS if body is not None else {}
         conn = self._checkout(endpoint)
         try:
@@ -88,7 +89,13 @@ class HttpClient:
             conn.close()
         else:
             self._checkin(endpoint, conn)
-        return resp.status, data
+        if resp.status != 200:  # a refusal, whose body says why
+            error = ServiceNotFound if resp.status == 404 else ProtocolError
+            raise error(
+                f"{endpoint}: {method} {path} returned HTTP {resp.status}: "
+                f"{data.decode('utf-8', 'replace')}"
+            )
+        return data
 
     def close(self) -> None:
         """Close every idle connection; later requests open new ones."""
@@ -124,21 +131,13 @@ class HttpClient:
 
 
 def _still_open(conn: http.client.HTTPConnection) -> bool:
-    """True when an idle connection has nothing to read: no EOF, no stray bytes."""
-    sock = conn.sock
-    if sock is None:
+    """True when an idle connection has nothing to read: no end of file, no
+    reset, no stray bytes. POSIX only, as ``select.poll`` is."""
+    if conn.sock is None:
         return False
-    timeout = sock.gettimeout()
-    sock.setblocking(False)
-    try:
-        sock.recv(1, socket.MSG_PEEK)
-    except BlockingIOError:
-        return True
-    except OSError:
-        return False
-    finally:
-        sock.settimeout(timeout)
-    return False
+    probe = select.poll()
+    probe.register(conn.sock, select.POLLIN)
+    return not probe.poll(0)
 
 
 class Handle(RemoteProxyBase):
@@ -154,12 +153,9 @@ class Handle(RemoteProxyBase):
         self.rior = rior
         self._node = node
         self._cache_lock = threading.Lock()
+        # One decoder per field: each field's document numbers its own objects.
         self.cached_fields: dict[str, object] = {
-            name: codec.decode_value(
-                doc,
-                registry=node.types,
-                resolve_ref=lambda r: resolve_incoming_rior(node, r),
-            )
+            name: value_decoder(node).decode(doc)
             for name, doc in rior.cached_field_snapshot.items()
         }
         # (method, arity) -> (op, field) for the accessors served locally.
@@ -177,18 +173,6 @@ class Handle(RemoteProxyBase):
 
     def invoke(self, method: str, args: Sequence[object] = ()) -> object:
         return remote_invoke(self._node, self, method, list(args))
-
-    def _post(self, request: Request) -> Response:
-        status, raw = self._node.http.request(
-            self.rior.endpoint,
-            "POST",
-            f"/invoke/{request.target}",
-            codec.encode_request(request),
-        )
-        if status != 200:  # a refusal, whose body says why
-            text = raw.decode("utf-8", "replace")
-            raise ProtocolError(f"invoke returned HTTP {status}: {text}")
-        return codec.decode_response(raw)
 
     def __getattr__(self, name: str):
         try:
@@ -234,6 +218,16 @@ class ProxyCache:
             return len(self._handles)
 
 
+def value_encoder(node) -> codec.MessageEncoder:
+    """A fresh encoder for one outgoing message, deploying escaping objects on node."""
+    return codec.MessageEncoder(node.types, lambda obj, sig: auto_deploy(node, obj, sig))
+
+
+def value_decoder(node) -> codec.MessageDecoder:
+    """A fresh decoder for one incoming message, resolving references on node."""
+    return codec.MessageDecoder(node.types, lambda rior: resolve_incoming_rior(node, rior))
+
+
 def resolve_incoming_rior(node, rior: RIOR) -> object:
     """Turn an incoming remote reference into something the application can use.
 
@@ -252,12 +246,7 @@ def resolve_incoming_rior(node, rior: RIOR) -> object:
 def get_object_by_name(node, host: str, port: int, name: str) -> object:
     """Fetch a remote service's reference by name or GUID and resolve it."""
     path = f"/describe/{quote(name, safe='')}"
-    status, raw = node.http.request(Endpoint(host, port), "GET", path)
-    if status == 404:
-        raise ServiceNotFound(f"{host}:{port} has no service {name!r}")
-    if status != 200:
-        raise ProtocolError(f"describe returned HTTP {status}")
-    doc = codec._parse_json(raw)
+    doc = codec._parse_json(node.http.request(Endpoint(host, port), "GET", path))
     return resolve_incoming_rior(node, codec.doc_to_rior(doc, node.types))
 
 
@@ -305,9 +294,7 @@ def remote_invoke(node, handle: Handle, method: str, args: list) -> object:
             f"{iface.type_name}"
         )
 
-    encoder = codec.MessageEncoder(
-        node.types, deploy_ref=lambda obj, sig: auto_deploy(node, obj, sig)
-    )
+    encoder = value_encoder(node)
     wire_args = []
     for i, value in enumerate(args):
         ctx = CallContext(
@@ -322,22 +309,15 @@ def remote_invoke(node, handle: Handle, method: str, args: list) -> object:
         node.observe_decision("arg", ctx.actual_type_name, decision)
         wire_args.append(encoder.encode(value, decision, md.params[i]))
 
-    request = Request(
-        target=handle.rior.guid.hex,
-        method=method,
-        args=tuple(wire_args),
-        peer_kind="rrt",
-    )
+    target = handle.rior.guid.hex
+    body = codec.encode_request(Request(target, method, wire_args))
     try:
-        response = handle._post(request)
+        raw = node.http.request(handle.rior.endpoint, "POST", f"/invoke/{target}", body)
     except NetworkFault as fault:
         return node.handle_network_fault(md, fault)
+    response = codec.decode_response(raw)
     if response.ok:
-        return codec.decode_value(
-            response.result,
-            registry=node.types,
-            resolve_ref=lambda r: resolve_incoming_rior(node, r),
-        )
+        return value_decoder(node).decode(response.result)
     fault = response.fault
     if fault.kind == "application":
         raise ApplicationFault(fault.fault_class, fault.message)
@@ -400,12 +380,8 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
     snapshot: dict[str, object] = {}
     for fname in sorted(cached & iface.field_names):
         value = getattr(skeleton.service_object, fname)
-        snapshot[fname] = codec.encode_value(
-            value,
-            by_value(UNBOUNDED),
-            registry=node.types,
-            deploy_ref=lambda obj, sig: auto_deploy(node, obj, sig),
-            declared_type=iface.field(fname).type_name,
+        snapshot[fname] = value_encoder(node).encode(
+            value, by_value(UNBOUNDED), iface.field(fname).type_name
         )
     return RIOR(
         endpoint=node.endpoint,

@@ -15,7 +15,7 @@ from dataclasses import asdict
 from urllib.parse import quote
 
 from .. import codec
-from ..errors import PolicyFileError, RRTError
+from ..errors import NetworkFault, PolicyFileError, RRTError
 from ..model import Endpoint, by_value
 from ..node import DEFAULT_PORT, NodeConfig, serve
 from ..policy import (
@@ -155,10 +155,10 @@ def _cmd_call(ns) -> int:
     client = HttpClient(timeout=30)
     try:
         path = f"/invoke/{quote(ns.service, safe='')}"
-        _, raw = client.request(endpoint, "POST", path, body)
-        response = codec.decode_response(raw)
+        response = codec.decode_response(client.request(endpoint, "POST", path, body))
     except RRTError as exc:
-        print(json.dumps({"fault": {"kind": "network", "message": str(exc)}}))
+        kind = "network" if isinstance(exc, NetworkFault) else "protocol"
+        print(json.dumps({"fault": {"kind": kind, "message": str(exc)}}))
         return 1
     finally:
         client.close()
@@ -207,7 +207,10 @@ def _cmd_explain(ns) -> int:
         except OSError as exc:
             print(f"cannot read context: {exc}", file=sys.stderr)
             return USAGE_ERROR
-    manager = TransmissionPolicyManager()
+    # The types `rrt node` serves, so a file is refused here as it is there.
+    types = TypeRegistry()
+    register_demo_types(types)
+    manager = TransmissionPolicyManager(types=types)
     try:
         manager.load_policy_file(document)
         context = _parse_context(context_text)

@@ -30,6 +30,7 @@ from rrt.errors import ProtocolError, UnregisteredTypeError, WireFormatError
 from rrt.model import (
     Endpoint,
     FieldDescriptor,
+    MethodDescriptor,
     RIOR,
     TypeDescriptor,
     UNBOUNDED,
@@ -46,6 +47,15 @@ def backref(oid):
 
 def obj_doc(class_name, oid, fields=None):
     return {"k": "obj", "class": class_name, "id": oid, "fields": fields or {}}
+
+
+#: An interface with a field and a method, so every flag of a type document occurs.
+FLAGS_TYPE = TypeDescriptor(
+    "Flags",
+    fields=(FieldDescriptor("f", "i64"),),
+    methods=(MethodDescriptor("m", ("i64",), "i64"),),
+    is_interface=True,
+)
 
 
 @pytest.fixture
@@ -349,6 +359,37 @@ class TestRiorDocument:
         with pytest.raises(ProtocolError):
             doc_to_rior(doc)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("name",), 5),
+            (("cache",), []),
+            (("cache",), None),
+            (("iface", "supertype"), 5),
+            (("iface", "fields", 0, "name"), 5),
+            (("iface", "fields", 0, "type"), ["i64"]),
+            (("iface", "fields", 0, "mutable"), "no"),
+            (("iface", "methods", 0, "name"), 5),
+            (("iface", "methods", 0, "params"), "abc"),
+            (("iface", "methods", 0, "params", 0), 5),
+            (("iface", "methods", 0, "returns"), 5),
+            (("iface", "methods", 0, "network_fault"), "no"),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v),
+    )
+    def test_mistyped_key_refused(self, registry, path, value):
+        registry.register_type(FLAGS_TYPE)
+        registered = registry.lookup("Flags").descriptor
+        doc = rior_to_doc(RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=registered))
+        assert doc_to_rior(doc, registry).interface_descriptor is registered
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        for types in (registry, None):
+            with pytest.raises(ProtocolError):
+                doc_to_rior(doc, types)
+
     def test_malformed_rior(self):
         with pytest.raises(ProtocolError):
             doc_to_rior({"host": "h"})
@@ -523,3 +564,11 @@ class TestInterfaceReuse:
         doc["iface"]["interface"] = 0
         with pytest.raises(ProtocolError):
             doc_to_rior(doc, registry)
+        registry.register_type(FLAGS_TYPE)
+        rior = RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=FLAGS_TYPE)
+        for section, flag in (("fields", "mutable"), ("methods", "network_fault")):
+            doc = rior_to_doc(rior)
+            entry = doc["iface"][section][0]
+            entry[flag] = int(entry[flag])
+            with pytest.raises(ProtocolError):
+                doc_to_rior(doc, registry)

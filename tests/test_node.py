@@ -117,6 +117,12 @@ class TestServe:
         with pytest.raises(DeploymentError, match="non-empty text"):
             serve(NodeConfig(port=0, deploy_manifest=manifest), types=types)
 
+    def test_name_utf8_cannot_carry_refused(self, node):
+        with pytest.raises(DeploymentError, match="UTF-8"):
+            node.deploy(P2PNode(Key("k")), "IP2PNode", "bad\ud800name")
+        for path in ("/services", "/browse"):
+            assert http_get(node, path)[0] == 200
+
     def test_bad_manifest_aborts(self, tmp_path):
         manifest = tmp_path / "deploy.json"
         manifest.write_text(json.dumps([{"type": "Ghost"}]))

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import http.client
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
 import support
+from rrt import codec
 from rrt.codec import MAX_REQUEST_BYTES, Request, encode_request
 from rrt.errors import (
     ApplicationFault,
@@ -29,6 +32,7 @@ from rrt.registry import MethodTable
 from rrt.remote import (
     Handle,
     HttpClient,
+    _still_open,
     auto_deploy,
     build_rior,
     resolve_incoming_rior,
@@ -453,19 +457,20 @@ def _answer_once_then_drop(listener: socket.socket, seen: list[bytes]) -> None:
                 conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
 
 
+@pytest.fixture
+def connects(monkeypatch):
+    opened = []
+    real = http.client.HTTPConnection.connect
+
+    def counting(conn):
+        opened.append(conn)
+        return real(conn)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return opened
+
+
 class TestHttpClient:
-    @pytest.fixture
-    def connects(self, monkeypatch):
-        opened = []
-        real = http.client.HTTPConnection.connect
-
-        def counting(conn):
-            opened.append(conn)
-            return real(conn)
-
-        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
-        return opened
-
     def test_calls_share_one_connection(self, pair, deployed, connects):
         host, port = a_addr(pair)
         handle = pair.b.get_object_by_name(host, port, "P2P")
@@ -502,9 +507,9 @@ class TestHttpClient:
 
         monkeypatch.setattr(http.client.HTTPConnection, "request", flaky)
         body = encode_request(Request("P2P", "getKey", ()))
-        status, _ = client.request(endpoint, "POST", "/invoke/P2P", body)
+        client.request(endpoint, "POST", "/invoke/P2P", body)
         client.close()
-        assert status == 200 and broken
+        assert broken
         assert pair.a.invoke_requests == 1
 
     def test_request_sent_in_full_is_not_repeated(self):
@@ -516,7 +521,7 @@ class TestHttpClient:
         client = HttpClient(timeout=5)
         endpoint = Endpoint("127.0.0.1", listener.getsockname()[1])
         try:
-            assert client.request(endpoint, "POST", "/invoke/x", b"{}") == (200, b"ok")
+            assert client.request(endpoint, "POST", "/invoke/x", b"{}") == b"ok"
             with pytest.raises(NetworkFault):
                 client.request(endpoint, "POST", "/invoke/x", b"{}")
             peer.join(timeout=5)
@@ -528,6 +533,99 @@ class TestHttpClient:
             client.close()
             listener.close()
         assert len(seen) == 2
+
+
+class TestStillOpen:
+    @pytest.fixture
+    def pooled(self):
+        """An idle client connection and the server's end of it."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            conn = http.client.HTTPConnection("127.0.0.1", listener.getsockname()[1])
+            conn.connect()
+            peer, _ = listener.accept()
+        with peer:
+            yield conn, peer
+        conn.close()
+
+    def test_idle_connection_is_open(self, pooled):
+        conn, _ = pooled
+        assert _still_open(conn)
+        conn.close()
+        assert not _still_open(conn)
+
+    @pytest.mark.parametrize("disturb", ["stray bytes", "end of file", "reset"])
+    def test_readable_connection_is_discarded(self, pooled, disturb):
+        conn, peer = pooled
+        if disturb == "stray bytes":
+            peer.sendall(b"HTTP/1.1 200 OK\r\n")
+        elif disturb == "reset":  # close with a zero linger time sends RST
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            peer.close()
+        else:
+            peer.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + 5
+        while _still_open(conn) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert not _still_open(conn)
+
+
+class Odd:
+    """Answers that JSON or UTF-8 cannot carry."""
+
+    def nan(self):
+        return float("nan")
+
+    def inf(self):
+        return float("inf")
+
+    def surrogate(self):
+        return "\ud800"
+
+    def fail(self):
+        raise ValueError("bad \ud800 text")
+
+    def one(self):
+        return 1
+
+
+ODD_TYPE = TypeDescriptor(
+    "Odd",
+    methods=(
+        MethodDescriptor("nan", (), "f64"),
+        MethodDescriptor("inf", (), "f64"),
+        MethodDescriptor("surrogate", (), "string"),
+        MethodDescriptor("fail", (), "string"),
+        MethodDescriptor("one", (), "i64"),
+    ),
+)
+
+
+def register_odd(types):
+    types.register_type(ODD_TYPE, MethodTable.for_class(Odd, ODD_TYPE), py_type=Odd)
+
+
+class TestUnencodableAnswer:
+    @pytest.fixture
+    def odd(self):
+        with LocalPair(seed=6, registrars=(register_odd,)) as pair:
+            pair.a.deploy(Odd(), name="odd")
+            yield pair, pair.b.get_object_by_name(*a_addr(pair), "odd")
+
+    @pytest.mark.parametrize("method", ["nan", "inf", "surrogate"])
+    def test_is_a_protocol_error_on_a_live_connection(self, connects, odd, method):
+        pair, handle = odd
+        with pytest.raises(ProtocolError, match="WireFormatError"):
+            handle.invoke(method)
+        assert handle.one() == 1
+        assert len(connects) == 1  # the same connection served the next call
+        assert pair.b.fault_log == []
+
+    def test_fault_message_is_always_sent(self, odd):
+        pair, handle = odd
+        with pytest.raises(ApplicationFault, match=r"bad \? text"):
+            handle.fail()
+        assert handle.one() == 1
+        assert pair.b.fault_log == []
 
 
 class GraphEcho:
@@ -577,8 +675,9 @@ class TestLimits:
 
     def test_refused_invoke_is_a_protocol_error(self, pair, deployed, monkeypatch):
         handle = pair.b.get_object_by_name(*a_addr(pair), "P2P")
-        refusal = b'{"error":"request body over 4194304 bytes"}'
-        monkeypatch.setattr(pair.b.http, "request", lambda *args: (413, refusal))
+        # Only the server's cap refuses the body: the client's is raised.
+        monkeypatch.setattr(codec, "MAX_REQUEST_BYTES", 2 * MAX_REQUEST_BYTES)
+        big = Message("x" * (MAX_REQUEST_BYTES + 10))
         with pytest.raises(ProtocolError, match="HTTP 413: .*request body over"):
-            handle.getKey()
+            deliver(pair.b, handle, Key("dest"), big, max_size=len(big.payload))
         assert pair.b.fault_log == []

@@ -4,6 +4,8 @@ import json
 import signal
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -137,6 +139,29 @@ class TestCliCall:
             assert main(["call", address, name, "get_value"]) == 0
             assert json.loads(capsys.readouterr().out)["v"] == name
 
+    def test_refusal_is_a_protocol_fault(self, capsys):
+        refusal = b'{"error":"request body over 4194304 bytes"}'
+
+        class Refuse(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.send_response(413)
+                self.send_header("Content-Length", str(len(refusal)))
+                self.end_headers()
+                self.wfile.write(refusal)
+
+            def log_message(self, *args):
+                pass
+
+        with HTTPServer(("127.0.0.1", 0), Refuse) as stub:
+            answer = threading.Thread(target=stub.handle_request)
+            answer.start()
+            status = main(["call", f"127.0.0.1:{stub.server_port}", "P2P", "route"])
+            answer.join(timeout=5)
+        assert status == 1
+        fault = json.loads(capsys.readouterr().out)["fault"]
+        assert fault["kind"] == "protocol"
+        assert "HTTP 413: " + refusal.decode() in fault["message"]
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -192,6 +217,20 @@ class TestCliPolicyExplain:
         assert main(["policy-explain", str(policy), '{"role":"argument"}']) == 2
 
 
+    def test_file_checked_against_the_node_types(self, tmp_path, capsys):
+        policy = tmp_path / "rules.xml"
+        policy.write_text(
+            '<policies><param class="IP2PNode" method="route" index="5" '
+            'policy="BY_VALUE" depth="unbounded" overridable="true"/></policies>'
+        )
+        context = json.dumps(
+            {"role": "argument", "index": 5, "class": "IP2PNode",
+             "method": "route", "actual": "Key", "peer": "rrt"}
+        )
+        assert main(["policy-explain", str(policy), context]) == 2
+        assert "no parameter 5" in capsys.readouterr().err
+
+
 class TestCliBench:
     def test_bench_prints_report(self, capsys):
         status = main(["bench", "--calls", "25"])
@@ -233,7 +272,8 @@ class TestCliNode:
             assert [e["name"] for e in listing] == ["P2P"]
         finally:
             proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=10) == 0
+            proc.communicate(timeout=10)
+        assert proc.returncode == 0
 
     def test_node_subcommand_stops_on_sigterm(self):
         proc = subprocess.Popen(
@@ -263,4 +303,4 @@ class TestCliNode:
             assert "listening on http://" in line
         finally:
             proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)
