@@ -10,22 +10,26 @@ A node binds one TCP port and serves four endpoints:
 
 Every HTTP request receives exactly one response; a malformed invocation
 produces a structured protocol fault, never a connection abort. Connections
-are HTTP/1.1 keep-alive, served by one thread each; a ``POST`` whose
-``Content-Length`` is missing, malformed or over ``MAX_REQUEST_BYTES`` gets a
-4xx reply and the connection is closed.
+are HTTP/1.1 keep-alive, served by one thread each that reads each request
+head itself (RFC 9112). A request the node will not serve (a malformed or
+oversized head, an HTTP major version above 1, a method other than GET and
+POST, or a ``POST`` whose ``Content-Length`` is missing, malformed or over
+``MAX_REQUEST_BYTES``) gets a 4xx or 5xx reply with a JSON ``{"error": ...}``
+body, and the connection is closed.
 """
 
 from __future__ import annotations
 
 import html
 import json
+import re
 import socket
 import sys
 import threading
+import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import unquote
 
@@ -45,6 +49,13 @@ from .registry import ServiceRegistry, TypeRegistry, invoke_local
 DEFAULT_PORT = 8000
 IDLE_TIMEOUT = 30.0  # seconds a connection may wait for its next request
 MAX_CONNECTIONS = 64  # open connections per node; more are closed at accept
+MAX_LINE = 65536  # bytes in the request line and in each header line
+MAX_HEADERS = 100  # header lines per request
+
+_REQUEST_LINE = re.compile(rb"(\S+) (\S+) HTTP/(\d{1,10})\.(\d{1,10})\r?\n")
+# A field line is a token, a colon and a value. An obs-fold line starts with
+# whitespace, so it fails to match and is refused (RFC 9112 §5.1, §5.2).
+_FIELD = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*(.*?)[ \t]*\r?\n")
 
 
 @dataclass
@@ -82,8 +93,9 @@ class RRTNode:
         self.decision_observer = None
         self.invoke_requests = 0
         self._counter_lock = threading.Lock()
-        self._httpd: _NodeHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        self._listener: socket.socket | None = None
+        self._conns: set[socket.socket] = set()
+        self._conns_lock = threading.Lock()
         # Where this node's references point; start() sets the bound port.
         self.endpoint = Endpoint(self.config.host, self.config.port or DEFAULT_PORT)
 
@@ -91,26 +103,24 @@ class RRTNode:
 
     @property
     def running(self) -> bool:
-        return self._httpd is not None
+        return self._listener is not None
 
     def start(self) -> "RRTNode":
         """Bind the port, apply policy file and manifest, then accept traffic."""
-        if self._httpd is not None:
+        if self._listener is not None:
             raise ConfigError("node already running")
-        self._httpd = _NodeHTTPServer((self.config.host, self.config.port), _Handler)
-        self._httpd.node = self
-        self.endpoint = Endpoint(self.config.host, self._httpd.server_address[1])
+        listener = socket.create_server((self.config.host, self.config.port))
+        self.endpoint = Endpoint(self.config.host, listener.getsockname()[1])
         try:
             self._apply_startup_files()
         except Exception:
-            self._teardown_server()
+            listener.close()
             raise
-        self._thread = threading.Thread(
-            target=lambda: self._httpd.serve_forever(poll_interval=0.05),
-            name=f"rrt-node-{self.endpoint.port}",
-            daemon=True,
-        )
-        self._thread.start()
+        self._listener = listener
+        threading.Thread(
+            target=self._accept, args=(listener,),
+            name=f"rrt-node-{self.endpoint.port}", daemon=True,
+        ).start()
         return self
 
     def _apply_startup_files(self) -> None:
@@ -152,20 +162,62 @@ class RRTNode:
                 raise ConfigError(f"manifest entry {pos}: {exc}") from exc
 
     def stop(self) -> None:
-        """Stop serving, cut open connections and close idle outbound ones."""
+        """Stop serving: shut the listener and every open connection, idle or
+        not, and close idle outbound ones."""
         self.http.close()
-        if self._httpd is None:
+        with self._conns_lock:
+            listener, self._listener = self._listener, None
+            conns = list(self._conns)
+        if listener is None:
             return
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self._teardown_server()
+        for sock in (listener, *conns):  # shutting the listener wakes accept()
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
-    def _teardown_server(self) -> None:
-        if self._httpd is not None:
-            self._httpd.server_close()
-            self._httpd = None
+    def _accept(self, listener: socket.socket) -> None:
+        """Give each connection a thread, at most ``MAX_CONNECTIONS`` at once,
+        until stop() shuts the listener; then close it.
+
+        Dispatches are not bounded separately: a callback chain A->B->A... holds
+        one dispatch on every hop, so a dispatch limit would deadlock it.
+        """
+        with listener:
+            while True:
+                try:
+                    sock, peer = listener.accept()
+                except OSError:
+                    if self._listener is not listener:
+                        return
+                    continue  # a connection that failed before it was accepted
+                # Before the socket is published: stop() may shut it at once.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.settimeout(IDLE_TIMEOUT)
+                with self._conns_lock:
+                    if self._listener is not listener or len(self._conns) >= MAX_CONNECTIONS:
+                        sock.close()
+                        continue
+                    self._conns.add(sock)
+                threading.Thread(
+                    target=self._serve, args=(sock,),
+                    name=f"rrt-node-{self.endpoint.port}-{peer[1]}", daemon=True,
+                ).start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        """Answer one connection's requests until it must close, then close it."""
+        try:
+            with sock, sock.makefile("rb") as rfile:
+                conn = _Connection(self, sock, rfile)
+                while not conn.close_connection:
+                    conn.handle_one()
+        except OSError:  # a peer that left, an idle timeout or stop() is routine
+            pass
+        except Exception:  # noqa: BLE001 - it ends this connection, not the node
+            traceback.print_exc()
+        finally:
+            with self._conns_lock:
+                self._conns.discard(sock)
 
     def __enter__(self) -> "RRTNode":
         if not self.running:
@@ -293,134 +345,120 @@ class RRTNode:
         return codec.encode_response(Response(ok=False, fault=fault))
 
 
-class _NodeHTTPServer(ThreadingHTTPServer):
-    """One thread per connection, at most ``MAX_CONNECTIONS`` open at once.
+class _Connection:
+    """Reads the requests of one connection in turn and answers each.
 
-    Dispatches are not bounded separately: a callback chain A->B->A... holds
-    one dispatch on every hop, so a dispatch limit would deadlock it.
+    Routes on the raw path and unquotes only the service id in it, so an id
+    may hold a quoted "/" or "?".
     """
 
-    daemon_threads = True
-    node: RRTNode
+    def __init__(self, node: RRTNode, sock: socket.socket, rfile):
+        self.node = node
+        self.sock = sock
+        self.rfile = rfile
+        self.close_connection = False
 
-    def __init__(self, addr, handler):
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
-        super().__init__(addr, handler)
-
-    def verify_request(self, request, client_address) -> bool:
-        with self._conns_lock:
-            return len(self._conns) < MAX_CONNECTIONS
-
-    def process_request(self, request, client_address):
-        with self._conns_lock:
-            self._conns.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        with self._conns_lock:
-            self._conns.discard(request)
-        super().shutdown_request(request)
-
-    def handle_error(self, request, client_address):
-        if not isinstance(sys.exc_info()[1], OSError):  # a peer that left is routine
-            super().handle_error(request, client_address)
-
-    def server_close(self):
-        """Close the listener and cut every open connection, idle or not."""
-        super().server_close()
-        with self._conns_lock:
-            for conn in self._conns:
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes on the raw path and unquotes only the service id in it, so an
-    id may hold a quoted "/" or "?"."""
-
-    protocol_version = "HTTP/1.1"
-    timeout = IDLE_TIMEOUT
-    disable_nagle_algorithm = True
-    server: _NodeHTTPServer
-
-    def log_message(self, format, *args):  # noqa: A002 - base-class signature
-        pass
+    def handle_one(self) -> None:
+        line = self.rfile.readline(MAX_LINE + 1)
+        self.close_connection = True  # until the request head has been read whole
+        if not line:  # the peer closed between requests
+            return
+        if len(line) > MAX_LINE:
+            return self._reject(414, f"request line over {MAX_LINE} bytes")
+        request = _REQUEST_LINE.fullmatch(line)
+        if request is None:
+            return self._reject(400, "malformed request line")
+        method, target, major, minor = request.groups()
+        if int(major) > 1:
+            return self._reject(505, f"HTTP/{major.decode()} is not supported")
+        fields: dict[bytes, list[bytes]] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if len(line) > MAX_LINE:
+                return self._reject(431, f"header line over {MAX_LINE} bytes")
+            field = _FIELD.fullmatch(line)
+            if field is None:
+                return self._reject(400, "malformed header line")
+            fields.setdefault(field[1].lower(), []).append(field[2])
+        else:
+            return self._reject(431, f"more than {MAX_HEADERS} header lines")
+        # An HTTP/1.0 connection closes after its reply, keep-alive or not.
+        http11 = (int(major), int(minor)) >= (1, 1)
+        connection = fields.get(b"connection", [b""])[0]
+        self.close_connection = not http11 or connection.lower() == b"close"
+        path = target.decode("latin-1").split("?", 1)[0]
+        if path.startswith("//"):  # as http.server did, so no path reads as a host
+            path = "/" + path.lstrip("/")
+        if method == b"GET":
+            self._get(path)
+        elif method == b"POST":
+            self._post(path, fields, http11)
+        else:
+            self._reject(501, f"unsupported method: {method.decode('latin-1')}")
 
     def _send(self, status: int, payload: bytes, content_type: str) -> None:
         # Status line, headers and body in one write, so no segment of the
         # response waits for the client's delayed ACK.
         head = (
-            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(payload)}\r\n"
         )
         if self.close_connection:
             head += "Connection: close\r\n"
-        self.wfile.write(head.encode("latin-1") + b"\r\n" + payload)
+        self.sock.sendall(head.encode("latin-1") + b"\r\n" + payload)
 
     def _send_json(self, status: int, doc: object) -> None:
         self._send(status, codec.canonical_bytes(doc), "application/json")
 
-    def do_GET(self):
-        node = self.server.node
-        path = self.path.split("?", 1)[0]
+    def _get(self, path: str) -> None:
+        node = self.node
+        tail = path.lstrip("/")
         if path in ("/", "/browse"):
             self._send(200, node.browse_html().encode("utf-8"), "text/html; charset=utf-8")
-            return
-        if path == "/services":
+        elif path == "/services":
             self._send_json(200, node.list_services())
-            return
-        if path.startswith("/describe/"):
-            self._describe(node, unquote(path[len("/describe/"):]))
-            return
-        tail = path.lstrip("/")
-        if tail and "/" not in tail:
-            self._describe(node, unquote(tail))
-            return
-        self._send_json(404, {"error": f"no such endpoint: {path}"})
+        elif path.startswith("/describe/"):
+            self._describe(unquote(path[len("/describe/"):]))
+        elif tail and "/" not in tail:
+            self._describe(unquote(tail))
+        else:
+            self._send_json(404, {"error": f"no such endpoint: {path}"})
 
-    def _describe(self, node: RRTNode, service_id: str) -> None:
+    def _describe(self, service_id: str) -> None:
         try:
-            self._send_json(200, node.describe_service(service_id))
+            self._send_json(200, self.node.describe_service(service_id))
         except ServiceNotFound as exc:
             self._send_json(404, {"error": str(exc)})
         except RRTError as exc:
             self._send_json(500, {"error": str(exc)})
 
-    def do_POST(self):
-        node = self.server.node
-        path = self.path.split("?", 1)[0]
+    def _post(self, path: str, fields: dict[bytes, list[bytes]], http11: bool) -> None:
         if not path.startswith("/invoke/"):
-            self._reject(404, f"no such endpoint: {path}")
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        answer = node.handle_invoke(unquote(path[len("/invoke/"):]), body)
-        self._send(200, answer, "application/json")
-
-    def _read_body(self) -> bytes | None:
-        """The request body, or None once an unusable length has been refused."""
-        lengths = self.headers.get_all("Content-Length", [])
-        if not lengths or "Transfer-Encoding" in self.headers:
+            return self._reject(404, f"no such endpoint: {path}")
+        lengths = fields.get(b"content-length", [])
+        if not lengths or b"transfer-encoding" in fields:
             return self._reject(411, "POST needs a Content-Length")
-        text = lengths[0].strip()
-        if len(lengths) > 1 or not (text.isascii() and text.isdigit()):
-            return self._reject(400, f"bad Content-Length: {', '.join(lengths)}")
+        text = lengths[0]
+        if len(lengths) > 1 or not text.isdigit():
+            shown = b", ".join(lengths).decode("latin-1")
+            return self._reject(400, f"bad Content-Length: {shown}")
         # Past 18 digits the value is far over the cap (or absurdly padded).
         length = int(text) if len(text) <= 18 else MAX_REQUEST_BYTES + 1
         if length > MAX_REQUEST_BYTES:
             self._reject(413, f"request body over {MAX_REQUEST_BYTES} bytes")
             if length <= 2 * MAX_REQUEST_BYTES:
                 self._discard_body(length)
-            return None
+            return
+        if http11 and fields.get(b"expect", [b""])[0].lower() == b"100-continue":
+            self.sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = self.rfile.read(length)
         if len(body) < length:
             return self._reject(400, "request body shorter than its Content-Length")
-        return body
+        answer = self.node.handle_invoke(unquote(path[len("/invoke/"):]), body)
+        self._send(200, answer, "application/json")
 
     def _reject(self, status: int, message: str) -> None:
         """Answer with an error and close: the rest of the stream cannot be trusted."""
@@ -435,7 +473,7 @@ class _Handler(BaseHTTPRequestHandler):
         headers sees the end of the reply and can close.
         """
         try:
-            self.connection.shutdown(socket.SHUT_WR)
+            self.sock.shutdown(socket.SHUT_WR)
             while length > 0 and (chunk := self.rfile.read(min(length, 1 << 16))):
                 length -= len(chunk)
         except OSError:

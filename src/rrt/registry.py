@@ -289,7 +289,8 @@ class ServiceRegistry:
         self._by_guid: dict[GUID, Skeleton] = {}
         self._by_name: dict[str, Skeleton] = {}
         self._by_object: dict[int, list[Skeleton]] = {}
-        self._lock = threading.RLock()
+        # Also held by auto_deploy across choosing a deployment and deploying.
+        self.lock = threading.RLock()
 
     def deploy(
         self,
@@ -303,7 +304,7 @@ class ServiceRegistry:
         of the object's concrete type. The object itself is never touched:
         existing local references keep working unchanged.
         """
-        with self._lock:
+        with self.lock:
             concrete = self.types.type_of(obj)
             iface = (
                 concrete.public_interface if interface is None
@@ -360,7 +361,7 @@ class ServiceRegistry:
 
     def lookup(self, name_or_guid: str) -> Skeleton:
         """Exact-match, case-sensitive service lookup by name or canonical GUID."""
-        with self._lock:
+        with self.lock:
             sk = self._by_name.get(name_or_guid)
             if sk is not None:
                 return sk
@@ -374,16 +375,16 @@ class ServiceRegistry:
             return sk
 
     def lookup_guid(self, guid: GUID) -> Skeleton | None:
-        with self._lock:
+        with self.lock:
             return self._by_guid.get(guid)
 
     def deployments_of(self, obj: object) -> list[Skeleton]:
-        with self._lock:
+        with self.lock:
             return list(self._by_object.get(id(obj), ()))
 
     def undeploy(self, name_or_guid: str) -> None:
         """Tear a service down. Test hygiene only; GUIDs are never reused."""
-        with self._lock:
+        with self.lock:
             sk = self.lookup(name_or_guid)
             del self._by_guid[sk.guid]
             if sk.service_name is not None:
@@ -395,11 +396,11 @@ class ServiceRegistry:
                     del self._by_object[id(sk.service_object)]
 
     def list_skeletons(self) -> list[Skeleton]:
-        with self._lock:
+        with self.lock:
             return list(self._by_guid.values())
 
     def __len__(self) -> int:
-        with self._lock:
+        with self.lock:
             return len(self._by_guid)
 
 

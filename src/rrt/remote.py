@@ -339,12 +339,25 @@ def auto_deploy(node, obj: object, signature_type_name: str | None = None) -> RI
     """
     if isinstance(obj, RemoteProxyBase):
         return obj.rior
-    services = node.services
+    interface: str | None = None
+    if not node.config.concrete_type_always and signature_type_name is not None:
+        if node.types.lookup(signature_type_name) is not None:
+            interface = signature_type_name
+    # Choosing and deploying is one step, or two threads passing one fresh
+    # object both deploy it and a peer gets two GUIDs for it.
+    with node.services.lock:
+        skeleton = _reusable_deployment(node, obj, signature_type_name)
+        if skeleton is None:
+            skeleton = node.services.deploy(obj, interface, None)
+    return build_rior(node, skeleton)
+
+
+def _reusable_deployment(node, obj: object, signature_type_name: str | None):
     concrete_name = node.types.type_of(obj).descriptor.type_name
-    deployments = services.deployments_of(obj)
+    deployments = node.services.deployments_of(obj)
     for sk in deployments:
         if sk.interface_descriptor.type_name == concrete_name:
-            return build_rior(node, sk)
+            return sk
 
     # The most derived interface has the signature type furthest up its
     # lineage; deployments_of lists oldest first, so >= keeps the newest.
@@ -355,14 +368,7 @@ def auto_deploy(node, obj: object, signature_type_name: str | None = None) -> RI
             rank = lineage.index(signature_type_name)
             if rank >= best_rank:
                 best, best_rank = sk, rank
-    if best is not None:
-        return build_rior(node, best)
-
-    interface: str | None = None
-    if not node.config.concrete_type_always and signature_type_name is not None:
-        if node.types.lookup(signature_type_name) is not None:
-            interface = signature_type_name
-    return build_rior(node, services.deploy(obj, interface, None))
+    return best
 
 
 def build_rior(node, skeleton: Skeleton) -> RIOR:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from rrt.node import NodeConfig, RRTNode, serve
@@ -16,6 +19,23 @@ ACCEPTANCE_LABELS = {
     "a7": "deployment contract: multi-interface services and rejection paths",
     "a8": "by-value depth limits inline exactly as deep as configured",
 }
+
+
+@pytest.fixture(autouse=True)
+def no_node_thread_outlives_its_test():
+    """Fail a test when a node thread it started is alive 1 s after its nodes
+    stopped. A node's accept thread and connection threads are named
+    ``rrt-node-<port>...``; this fixture is torn down after the test's others."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    while leaked := [
+        t.name for t in threading.enumerate()
+        if t.name.startswith("rrt-node-") and t not in before
+    ]:
+        if time.monotonic() > deadline:
+            pytest.fail(f"node threads outlived the test: {leaked}")
+        time.sleep(0.01)
 
 
 @pytest.fixture

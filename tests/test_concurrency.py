@@ -7,6 +7,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from rrt.remote import resolve_incoming_rior, build_rior
+from rrt.remote import auto_deploy
 from rrt.toolkit.demo import Key, Message, P2PNode
 
 
@@ -85,3 +86,33 @@ def test_emitted_refs_resolve_at_emitter(pair):
     assert len(deployments) == 1
     rior = build_rior(pair.b, deployments[0])
     assert resolve_incoming_rior(pair.b, rior) is msg
+
+
+def test_auto_deploy_one_service_when_two_threads_race(pair):
+    # Each thread waits at the barrier inside deploy, so both pass the reuse
+    # check before either deploys unless choosing and deploying is one step;
+    # then the second thread waits on the registry and the barrier times out.
+    node, key = pair.a, Key("raced")
+    deploy = node.services.deploy
+    barrier = threading.Barrier(2, timeout=0.5)
+
+    def deploy_after_barrier(*args):
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return deploy(*args)
+
+    node.services.deploy = deploy_after_barrier
+    riors = []
+    threads = [
+        threading.Thread(target=lambda: riors.append(auto_deploy(node, key, "Key")))
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=5)
+    assert not any(t.is_alive() for t in threads)
+    assert len(node.services.deployments_of(key)) == 1
+    assert riors[0].guid == riors[1].guid
