@@ -1,5 +1,8 @@
 """The runtime process: HTTP endpoints, failure policy, node configuration.
 
+``NodeConfig`` holds what is fixed at bind time; rules and services are set
+through ``node.policy`` and ``deploy``, before ``start()`` or while serving.
+
 A node binds one TCP port and serves four endpoints:
 
     GET  /services          JSON listing of deployed services
@@ -21,16 +24,14 @@ body, and the connection is closed.
 from __future__ import annotations
 
 import html
-import json
+import logging
 import re
 import socket
-import sys
 import threading
 import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from http import HTTPStatus
-from pathlib import Path
 from urllib.parse import unquote
 
 from . import codec, remote
@@ -51,6 +52,7 @@ IDLE_TIMEOUT = 30.0  # seconds a connection may wait for its next request
 MAX_CONNECTIONS = 64  # open connections per node; more are closed at accept
 MAX_LINE = 65536  # bytes in the request line and in each header line
 MAX_HEADERS = 100  # header lines per request
+FAULT_LOG_LIMIT = 1000  # newest records kept in fault_log; the rrt logger gets every one
 
 _REQUEST_LINE = re.compile(rb"(\S+) (\S+) HTTP/(\d{1,10})\.(\d{1,10})\r?\n")
 # A field line is a token, a colon and a value. An obs-fold line starts with
@@ -64,13 +66,13 @@ class NodeConfig:
     host: str = "127.0.0.1"
     fast_fail: bool = False
     concrete_type_always: bool = True
-    policy_file: str | Path | None = None
-    deploy_manifest: str | Path | None = None
-    log_sink: str | Path | None = None  # "-" = stderr, path = append, None = memory only
 
 
 #: What a suppressed network fault returns, per declared return type; null otherwise.
 _SUPPRESSED_RETURN = {"i64": 0, "f64": 0.0, "bool": False}
+
+logger = logging.getLogger("rrt")
+logger.addHandler(logging.NullHandler())  # silent unless the application adds one
 
 
 class RRTNode:
@@ -106,60 +108,21 @@ class RRTNode:
         return self._listener is not None
 
     def start(self) -> "RRTNode":
-        """Bind the port, apply policy file and manifest, then accept traffic."""
+        """Bind the port and accept traffic."""
         if self._listener is not None:
             raise ConfigError("node already running")
+        # "0.0.0.0", "::" and every other spelling of the unspecified address:
+        # it accepts on all interfaces but names none, so no peer could call back.
+        if not self.config.host.strip("0.:"):
+            raise ConfigError(f"cannot serve on unspecified address {self.config.host!r}")
         listener = socket.create_server((self.config.host, self.config.port))
         self.endpoint = Endpoint(self.config.host, listener.getsockname()[1])
-        try:
-            self._apply_startup_files()
-        except Exception:
-            listener.close()
-            raise
         self._listener = listener
         threading.Thread(
             target=self._accept, args=(listener,),
             name=f"rrt-node-{self.endpoint.port}", daemon=True,
         ).start()
         return self
-
-    def _apply_startup_files(self) -> None:
-        if self.config.policy_file is not None:
-            path = Path(self.config.policy_file)
-            if not path.is_file():
-                raise ConfigError(f"policy file not readable: {path}")
-            self.policy.load_policy_file(path.read_text(encoding="utf-8"))
-        if self.config.deploy_manifest is not None:
-            path = Path(self.config.deploy_manifest)
-            if not path.is_file():
-                raise ConfigError(f"deploy manifest not readable: {path}")
-            self._apply_manifest(path.read_text(encoding="utf-8"))
-
-    def _apply_manifest(self, text: str) -> None:
-        try:
-            entries = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"deploy manifest is not valid JSON: {exc}") from exc
-        if not isinstance(entries, list):
-            raise ConfigError("deploy manifest must be a JSON array")
-        for pos, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "type" not in entry:
-                raise ConfigError(f"manifest entry {pos}: need an object with 'type'")
-            rt = self.types.lookup(entry["type"])
-            if rt is None or rt.factory is None:
-                raise ConfigError(
-                    f"manifest entry {pos}: type {entry['type']!r} not constructible"
-                )
-            args = entry.get("constructor_args", [])
-            if not isinstance(args, list):
-                raise ConfigError(f"manifest entry {pos}: constructor_args must be a list")
-            try:
-                obj = rt.factory(*args)
-                self.deploy(obj, entry.get("interface"), entry.get("name"))
-            except RRTError:
-                raise
-            except Exception as exc:
-                raise ConfigError(f"manifest entry {pos}: {exc}") from exc
 
     def stop(self) -> None:
         """Stop serving: shut the listener and every open connection, idle or
@@ -249,8 +212,9 @@ class RRTNode:
 
         Methods that declare network faults always see them; otherwise
         fast-fail nodes raise it marked, and everything else suppresses it to
-        a type-appropriate default plus one log record. Application faults
-        never come through here: they always propagate.
+        a type-appropriate default plus one record, kept in ``fault_log`` and
+        logged to the ``rrt`` logger. Application faults never come through
+        here: they always propagate.
         """
         if method.declares_network_fault:
             raise failure
@@ -262,14 +226,8 @@ class RRTNode:
 
     def _log(self, record: str) -> None:
         self.fault_log.append(record)
-        sink = self.config.log_sink
-        if sink is None:
-            return
-        if str(sink) == "-":
-            print(record, file=sys.stderr)
-        else:
-            with open(sink, "a", encoding="utf-8") as fh:
-                fh.write(record + "\n")
+        del self.fault_log[:-FAULT_LOG_LIMIT]
+        logger.warning(record)
 
     # -- endpoint bodies ---------------------------------------------------------
 

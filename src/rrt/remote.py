@@ -15,6 +15,7 @@ from __future__ import annotations
 import http.client
 import select
 import threading
+import weakref
 from typing import Callable, Sequence
 from urllib.parse import quote
 
@@ -193,10 +194,16 @@ class Handle(RemoteProxyBase):
 
 
 class ProxyCache:
-    """At most one handle per remote GUID per node."""
+    """At most one live handle per remote GUID per node.
+
+    Handles are held weakly: one the application no longer holds is freed,
+    and the next reference to its GUID gets a fresh handle. So a peer that
+    sends many GUIDs cannot grow the cache, and no cycle through it keeps
+    a stopped node alive.
+    """
 
     def __init__(self):
-        self._handles: dict[GUID, Handle] = {}
+        self._handles: weakref.WeakValueDictionary[GUID, Handle] = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
 
     def get_or_create(self, guid: GUID, factory: Callable[[], Handle]) -> Handle:

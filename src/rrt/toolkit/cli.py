@@ -1,5 +1,6 @@
 """Operator command line: run a node, call a service, explain a policy
-decision, or benchmark the policy evaluation phase.
+decision, or benchmark the policy evaluation phase. ``rrt node`` applies its
+files through the node's API, and ``--log`` to the ``rrt`` logger, before it serves.
 
 Exit status: 0 success, 1 remote fault or network failure, 2 usage error.
 """
@@ -8,16 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import signal
 import sys
 from dataclasses import asdict
+from pathlib import Path
 from urllib.parse import quote
 
 from .. import codec
-from ..errors import NetworkFault, PolicyFileError, RRTError
+from ..errors import ConfigError, NetworkFault, PolicyFileError, RRTError
 from ..model import Endpoint, by_value
-from ..node import DEFAULT_PORT, NodeConfig, serve
+from ..node import DEFAULT_PORT, NodeConfig, RRTNode, logger
 from ..policy import (
     CallContext,
     CallRole,
@@ -110,21 +113,22 @@ def _cmd_node(ns) -> int:
         host=ns.host,
         fast_fail=ns.fast_fail,
         concrete_type_always=ns.concrete_type_always,
-        policy_file=ns.policy,
-        deploy_manifest=ns.manifest,
-        log_sink=ns.log,
     )
     types = TypeRegistry()
     register_demo_types(types)
     guid_source = SeededGuidSource(ns.seed) if ns.seed is not None else None
+    node = RRTNode(config, types=types, guid_source=guid_source)
     # Blocked before the node starts a thread, and threads inherit the mask,
     # so either signal waits for sigwait however early it comes.
     stop_signals = {signal.SIGINT, signal.SIGTERM}
     old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
     try:
         try:
-            node = serve(config, types=types, guid_source=guid_source)
-        except RRTError as exc:
+            if ns.log is not None:
+                log_faults_to(ns.log)
+            apply_startup_files(node, ns.policy, ns.manifest)
+            node.start()
+        except (RRTError, OSError) as exc:
             print(f"startup failed: {exc}", file=sys.stderr)
             return 1
         print(f"node listening on http://{node.endpoint}", file=sys.stderr)
@@ -133,6 +137,50 @@ def _cmd_node(ns) -> int:
         return 0
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
+
+
+def log_faults_to(target: str) -> None:
+    """Write each ``rrt`` log record as one line to stderr (``-``) or to a file."""
+    handler = (logging.StreamHandler() if target == "-"
+               else logging.FileHandler(target, encoding="utf-8"))  # opened once, appended
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    logger.addHandler(handler)
+
+
+def apply_startup_files(node: RRTNode, policy_file=None, deploy_manifest=None) -> None:
+    """Load a policy file's rules, then deploy a manifest's services: a JSON
+    array of ``{"type", "constructor_args", "interface", "name"}`` objects."""
+    for path, what in ((policy_file, "policy file"), (deploy_manifest, "deploy manifest")):
+        if path is not None and not Path(path).is_file():
+            raise ConfigError(f"{what} not readable: {path}")
+    if policy_file is not None:
+        node.policy.load_policy_file(Path(policy_file).read_text(encoding="utf-8"))
+    if deploy_manifest is None:
+        return
+    try:
+        entries = json.loads(Path(deploy_manifest).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"deploy manifest is not valid JSON: {exc}") from exc
+    if not isinstance(entries, list):
+        raise ConfigError("deploy manifest must be a JSON array")
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "type" not in entry:
+            raise ConfigError(f"manifest entry {pos}: need an object with 'type'")
+        rt = node.types.lookup(entry["type"])
+        if rt is None or rt.factory is None:
+            raise ConfigError(
+                f"manifest entry {pos}: type {entry['type']!r} not constructible"
+            )
+        args = entry.get("constructor_args", [])
+        if not isinstance(args, list):
+            raise ConfigError(f"manifest entry {pos}: constructor_args must be a list")
+        try:
+            obj = rt.factory(*args)
+            node.deploy(obj, entry.get("interface"), entry.get("name"))
+        except RRTError:
+            raise
+        except Exception as exc:
+            raise ConfigError(f"manifest entry {pos}: {exc}") from exc
 
 
 def _cmd_call(ns) -> int:

@@ -1,11 +1,15 @@
 """Concurrency contracts: concurrent endpoint traffic, atomic proxy
-get-or-create, and service-map reads under writers."""
+get-or-create, service-map reads under writers, and the fault-log bound."""
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from rrt.errors import NetworkFault
+from rrt.model import MethodDescriptor
+from rrt.node import FAULT_LOG_LIMIT, RRTNode
 from rrt.remote import resolve_incoming_rior, build_rior
 from rrt.remote import auto_deploy
 from rrt.toolkit.demo import Key, Message, P2PNode
@@ -116,3 +120,28 @@ def test_auto_deploy_one_service_when_two_threads_race(pair):
     assert not any(t.is_alive() for t in threads)
     assert len(node.services.deployments_of(key)) == 1
     assert riors[0].guid == riors[1].guid
+
+
+def test_fault_log_bound_holds_under_concurrent_faults():
+    node = RRTNode()
+    method = MethodDescriptor("ping")
+    threads, per_thread = 4, FAULT_LOG_LIMIT // 2
+
+    def suppress(t):
+        for n in range(per_thread):
+            node.handle_network_fault(method, NetworkFault(f"t{t} {n}"))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for future in [pool.submit(suppress, t) for t in range(threads)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert len(node.fault_log) == FAULT_LOG_LIMIT
+    # Trimming drops the oldest records: what each thread still has is the
+    # newest run of its own records, in order.
+    for t in range(threads):
+        kept = [int(r.rsplit(" ", 1)[1]) for r in node.fault_log if f" t{t} " in r]
+        assert kept == list(range(per_thread - len(kept), per_thread))

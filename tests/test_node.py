@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import socket
 import time
 
@@ -10,8 +11,9 @@ import pytest
 from rrt.codec import Request, canonical_bytes, decode_response, encode_request, rior_to_doc
 from rrt.errors import ConfigError, DeploymentError, NetworkFault
 from rrt.model import MethodDescriptor, PolicyKind, TypeDescriptor
-from rrt.node import MAX_REQUEST_BYTES, NodeConfig, RRTNode, serve
+from rrt.node import FAULT_LOG_LIMIT, MAX_REQUEST_BYTES, NodeConfig, RRTNode, serve
 from rrt.registry import MethodTable, TypeRegistry
+from rrt.toolkit.cli import apply_startup_files
 from rrt.toolkit.demo import Key, P2PNode, install_demo_policy, register_demo_types
 from support import prim
 
@@ -70,6 +72,15 @@ class TestServe:
         with pytest.raises(OSError):
             serve(NodeConfig(port=node.endpoint.port))
 
+    @pytest.mark.parametrize("host", ["0.0.0.0", "::", "0"])
+    def test_unspecified_address_refused(self, host):
+        # It would accept on every interface, and its references would name
+        # none. An empty host is refused earlier, by Endpoint.
+        node = RRTNode(NodeConfig(port=0, host=host))
+        with pytest.raises(ConfigError, match="unspecified address"):
+            node.start()
+        assert not node.running
+
     def test_manifest_and_policy_applied_before_traffic(self, tmp_path):
         manifest = tmp_path / "deploy.json"
         manifest.write_text(
@@ -91,10 +102,9 @@ class TestServe:
         )
         types = TypeRegistry()
         register_demo_types(types)
-        node = serve(
-            NodeConfig(port=0, deploy_manifest=manifest, policy_file=policy),
-            types=types,
-        )
+        node = RRTNode(NodeConfig(port=0), types=types)
+        apply_startup_files(node, deploy_manifest=manifest, policy_file=policy)
+        node.start()
         try:
             _, raw, _ = http_get(node, "/services")
             assert {e["name"] for e in json.loads(raw)} == {"P2P", "Manage", "Monitor"}
@@ -104,9 +114,8 @@ class TestServe:
 
     @pytest.mark.parametrize("field", ["deploy_manifest", "policy_file"])
     def test_missing_startup_file_aborts(self, tmp_path, field):
-        config = NodeConfig(port=0, **{field: tmp_path / "nope"})
         with pytest.raises(ConfigError, match="not readable"):
-            serve(config)
+            apply_startup_files(RRTNode(), **{field: tmp_path / "nope"})
 
     def test_manifest_name_must_be_text(self, tmp_path):
         manifest = tmp_path / "deploy.json"
@@ -115,7 +124,7 @@ class TestServe:
         types = TypeRegistry()
         register_demo_types(types)
         with pytest.raises(DeploymentError, match="non-empty text"):
-            serve(NodeConfig(port=0, deploy_manifest=manifest), types=types)
+            apply_startup_files(RRTNode(types=types), deploy_manifest=manifest)
 
     def test_name_utf8_cannot_carry_refused(self, node):
         with pytest.raises(DeploymentError, match="UTF-8"):
@@ -129,7 +138,7 @@ class TestServe:
         types = TypeRegistry()
         register_demo_types(types)
         with pytest.raises(ConfigError, match="Ghost"):
-            serve(NodeConfig(port=0, deploy_manifest=manifest), types=types)
+            apply_startup_files(RRTNode(types=types), deploy_manifest=manifest)
 
 
 class TestInvokeEndpoint:
@@ -429,13 +438,21 @@ class TestFailurePolicy:
         assert "host unreachable" in record
         assert "network" in record
 
-    def test_node_logs_each_suppression_once(self, node_factory, tmp_path):
-        sink = tmp_path / "faults.log"
-        n = node_factory(NodeConfig(port=0, log_sink=sink))
+    def test_node_logs_each_suppression_once(self, node_factory, caplog):
+        n = node_factory(NodeConfig(port=0))
         md = self.METHODS["string"]
-        assert n.handle_network_fault(md, NetworkFault("gone")) is None
+        with caplog.at_level(logging.WARNING, logger="rrt"):
+            assert n.handle_network_fault(md, NetworkFault("gone")) is None
         assert len(n.fault_log) == 1
-        assert sink.read_text().count("\n") == 1
+        assert caplog.messages == n.fault_log
+
+    def test_fault_log_keeps_the_newest_records(self):
+        node = RRTNode()
+        for n in range(FAULT_LOG_LIMIT + 1):
+            node.handle_network_fault(self.METHODS["void"], NetworkFault(f"down {n}"))
+        assert len(node.fault_log) == FAULT_LOG_LIMIT
+        assert node.fault_log[0].endswith(" down 1")
+        assert node.fault_log[-1].endswith(f" down {FAULT_LOG_LIMIT}")
 
     def test_fast_fail_node_raises(self, node_factory):
         n = node_factory(NodeConfig(port=0, fast_fail=True))

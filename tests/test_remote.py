@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
 import http.client
+import os
 import socket
 import struct
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -288,7 +291,48 @@ def register_holder(types):
     types.register_type(HOLDER, py_type=Holder)
 
 
+def p2p_exchange_refs() -> list:
+    """Run a p2p exchange on a fresh pair, stop it, and return weak
+    references to its two nodes."""
+    with LocalPair(seed=3, registrars=(register_demo_types,)) as pair:
+        pair.a.deploy(P2PNode(Key("a")), "IP2PNode", "P2P")
+        install_demo_policy(pair.a)
+        install_demo_policy(pair.b)
+        host, port = a_addr(pair)
+        p2p = pair.b.get_object_by_name(host, port, "P2P")
+        assert p2p.get_key().value == "a"
+        deliver(pair.b, p2p, Key("d1"), Message("ping"))
+        deliver(pair.b, p2p, Key("d2"), Message("x" * 5000))  # by reference
+        return [weakref.ref(pair.a), weakref.ref(pair.b)]
+
+
 class TestProxyCache:
+    def test_dropped_handles_are_not_kept(self, pair, deployed):
+        # A careless or hostile peer sends references to 500 services that no
+        # one holds; route drops its argument, so no handle outlives its call.
+        template = codec.rior_to_doc(pair.b.deploy(Message("m")))
+        for _ in range(500):
+            ref = {"k": "ref", "rior": {**template, "guid": os.urandom(16).hex()}}
+            body = encode_request(
+                Request("P2P", "route", (support.prim("null"), ref), peer_kind="rrt")
+            )
+            answer = pair.b.http.request(pair.a.endpoint, "POST", "/invoke/P2P", body)
+            assert codec.decode_response(answer).ok
+        assert len(pair.a.proxy_cache) == 0
+
+    def test_stopped_pair_is_freed_by_reference_counting(self):
+        # No cycle through the proxy cache (node -> handle -> node) keeps a
+        # stopped node waiting for the cycle collector.
+        gc.disable()
+        try:
+            refs = p2p_exchange_refs() + p2p_exchange_refs() + p2p_exchange_refs()
+            deadline = time.monotonic() + 2.0  # until the nodes' threads have ended
+            while any(r() is not None for r in refs) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [r() for r in refs] == [None] * 6
+        finally:
+            gc.enable()
+
     def test_reference_in_snapshot_resolves(self, node_factory):
         # B builds A's holder handle, whose snapshot holds a reference to C's
         # service: building one handle creates another in the same cache.

@@ -9,13 +9,16 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from rrt.errors import NetworkFault
+from rrt.model import MethodDescriptor
+from rrt.node import RRTNode, logger
 from rrt.toolkit import (
     LocalPair,
     bench_policy_overhead,
     p2p_demo,
     register_demo_types,
 )
-from rrt.toolkit.cli import main
+from rrt.toolkit.cli import log_faults_to, main
 from rrt.toolkit.demo import Key, Message, P2PNode
 from rrt.toolkit.harness import SeededGuidSource
 
@@ -304,3 +307,71 @@ class TestCliNode:
         finally:
             proc.send_signal(signal.SIGINT)
             proc.communicate(timeout=10)
+
+
+@pytest.fixture
+def restore_rrt_logger():
+    before = list(logger.handlers)
+    yield
+    for handler in logger.handlers[:]:
+        if handler not in before:
+            logger.removeHandler(handler)
+            handler.close()
+
+
+class TestCliStartup:
+    @pytest.mark.parametrize(
+        "files,message",
+        [
+            ({"--policy": None}, "policy file not readable"),
+            ({"--manifest": None}, "deploy manifest not readable"),
+            ({"--manifest": [{"type": "Ghost"}]}, "type 'Ghost' not constructible"),
+            ({"--manifest": [{"type": "P2PNode", "name": 5}]}, "non-empty text"),
+        ],
+    )
+    def test_bad_startup_file_exits_one(self, tmp_path, capsys, files, message):
+        argv = ["node", "--port", "0"]
+        for option, content in files.items():
+            path = tmp_path / "file"
+            if content is not None:
+                path.write_text(json.dumps(content))
+            argv += [option, str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("startup failed: ") and message in err
+
+    def test_unspecified_host_exits_one(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rrt.toolkit.cli", "node", "--port", "0",
+             "--host", "0.0.0.0"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("startup failed: cannot serve on unspecified")
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stderr"])
+    def test_log_writes_one_line_per_suppressed_fault(
+        self, tmp_path, capsys, restore_rrt_logger, to_file
+    ):
+        sink = tmp_path / "faults.log"
+        log_faults_to(str(sink) if to_file else "-")
+        node = RRTNode()
+        for n in range(3):
+            node.handle_network_fault(MethodDescriptor("ping"), NetworkFault(f"down {n}"))
+        written = sink.read_text() if to_file else capsys.readouterr().err
+        assert written.splitlines() == node.fault_log
+
+    def test_library_use_writes_nothing_to_stderr(self, capfd):
+        # A fresh interpreter, where no test harness handler sits on the root
+        # logger: without a handler of its own, stdlib logging would print
+        # the record through its last-resort handler.
+        script = (
+            "from rrt.errors import NetworkFault\n"
+            "from rrt.model import MethodDescriptor\n"
+            "from rrt.node import RRTNode\n"
+            "node = RRTNode()\n"
+            "node.handle_network_fault(MethodDescriptor('ping'), NetworkFault('down'))\n"
+            "assert len(node.fault_log) == 1\n"
+        )
+        assert subprocess.run([sys.executable, "-c", script]).returncode == 0
+        assert capfd.readouterr().err == ""
