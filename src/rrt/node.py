@@ -14,7 +14,8 @@ A node binds one TCP port and serves four endpoints:
 Every HTTP request receives exactly one response; a malformed invocation
 produces a structured protocol fault, never a connection abort. Connections
 are HTTP/1.1 keep-alive, served by one thread each that reads each request
-head itself (RFC 9112). A request the node will not serve (a malformed or
+head with ``framing.read_head``, the reader the client reads replies with
+(RFC 9112). A request the node will not serve (a malformed or
 oversized head, an HTTP major version above 1, a method other than GET and
 POST, or a ``POST`` whose ``Content-Length`` is missing, malformed or over
 ``MAX_REQUEST_BYTES``) gets a 4xx or 5xx reply with a JSON ``{"error": ...}``
@@ -23,18 +24,15 @@ body, and the connection is closed.
 
 from __future__ import annotations
 
-import html
 import logging
-import re
 import socket
 import threading
 import traceback
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from http import HTTPStatus
 from urllib.parse import unquote
 
-from . import codec, remote
+from . import codec, framing, remote
 from .codec import MAX_REQUEST_BYTES, Fault, Response
 from .errors import (
     ApplicationFault,
@@ -43,21 +41,14 @@ from .errors import (
     RRTError,
     ServiceNotFound,
 )
+from .framing import IDLE_TIMEOUT, FramingError
 from .model import Endpoint, GuidSource, MethodDescriptor, RIOR, TransmissionDecision
 from .policy import CallContext, CallRole, PeerKind, TransmissionPolicyManager
 from .registry import ServiceRegistry, TypeRegistry, invoke_local
 
 DEFAULT_PORT = 8000
-IDLE_TIMEOUT = 30.0  # seconds a connection may wait for its next request
 MAX_CONNECTIONS = 64  # open connections per node; more are closed at accept
-MAX_LINE = 65536  # bytes in the request line and in each header line
-MAX_HEADERS = 100  # header lines per request
 FAULT_LOG_LIMIT = 1000  # newest records kept in fault_log; the rrt logger gets every one
-
-_REQUEST_LINE = re.compile(rb"(\S+) (\S+) HTTP/(\d{1,10})\.(\d{1,10})\r?\n")
-# A field line is a token, a colon and a value. An obs-fold line starts with
-# whitespace, so it fails to match and is refused (RFC 9112 §5.1, §5.2).
-_FIELD = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*(.*?)[ \t]*\r?\n")
 
 
 @dataclass
@@ -99,7 +90,10 @@ class RRTNode:
         self._conns: set[socket.socket] = set()
         self._conns_lock = threading.Lock()
         # Where this node's references point; start() sets the bound port.
-        self.endpoint = Endpoint(self.config.host, self.config.port or DEFAULT_PORT)
+        try:
+            self.endpoint = Endpoint(self.config.host, self.config.port or DEFAULT_PORT)
+        except ValueError as exc:  # an empty host or a port out of range
+            raise ConfigError(str(exc)) from None
 
     # -- identity & lifecycle -------------------------------------------------
 
@@ -220,6 +214,8 @@ class RRTNode:
             raise failure
         if self.config.fast_fail:
             raise NetworkFault(failure.message, fast_fail=True)
+        from datetime import datetime, timezone  # on first use: faults are rare
+
         stamp = datetime.now(timezone.utc).isoformat()
         self._log(f"{stamp} WARN {method.ident} network {failure.message}")
         return _SUPPRESSED_RETURN.get(method.return_type)
@@ -249,6 +245,8 @@ class RRTNode:
         return codec.rior_to_doc(remote.build_rior(self, skeleton))
 
     def browse_html(self) -> str:
+        import html  # on first use: a page for people, which most nodes never serve
+
         endpoint = self.endpoint
         rows = []
         for entry in self.list_services():
@@ -317,31 +315,17 @@ class _Connection:
         self.close_connection = False
 
     def handle_one(self) -> None:
-        line = self.rfile.readline(MAX_LINE + 1)
         self.close_connection = True  # until the request head has been read whole
-        if not line:  # the peer closed between requests
+        try:
+            head = framing.read_head(self.rfile, framing.REQUEST_LINE, "request line")
+        except FramingError as exc:
+            return self._reject(exc.status, str(exc))
+        if head is None:  # the peer closed between requests
             return
-        if len(line) > MAX_LINE:
-            return self._reject(414, f"request line over {MAX_LINE} bytes")
-        request = _REQUEST_LINE.fullmatch(line)
-        if request is None:
-            return self._reject(400, "malformed request line")
+        request, fields = head
         method, target, major, minor = request.groups()
         if int(major) > 1:
             return self._reject(505, f"HTTP/{major.decode()} is not supported")
-        fields: dict[bytes, list[bytes]] = {}
-        for _ in range(MAX_HEADERS + 1):
-            line = self.rfile.readline(MAX_LINE + 1)
-            if line in (b"\r\n", b"\n"):
-                break
-            if len(line) > MAX_LINE:
-                return self._reject(431, f"header line over {MAX_LINE} bytes")
-            field = _FIELD.fullmatch(line)
-            if field is None:
-                return self._reject(400, "malformed header line")
-            fields.setdefault(field[1].lower(), []).append(field[2])
-        else:
-            return self._reject(431, f"more than {MAX_HEADERS} header lines")
         # An HTTP/1.0 connection closes after its reply, keep-alive or not.
         http11 = (int(major), int(minor)) >= (1, 1)
         connection = fields.get(b"connection", [b""])[0]
@@ -396,15 +380,12 @@ class _Connection:
     def _post(self, path: str, fields: dict[bytes, list[bytes]], http11: bool) -> None:
         if not path.startswith("/invoke/"):
             return self._reject(404, f"no such endpoint: {path}")
-        lengths = fields.get(b"content-length", [])
-        if not lengths or b"transfer-encoding" in fields:
+        try:
+            length = framing.content_length(fields)
+        except FramingError as exc:
+            return self._reject(exc.status, str(exc))
+        if length is None:
             return self._reject(411, "POST needs a Content-Length")
-        text = lengths[0]
-        if len(lengths) > 1 or not text.isdigit():
-            shown = b", ".join(lengths).decode("latin-1")
-            return self._reject(400, f"bad Content-Length: {shown}")
-        # Past 18 digits the value is far over the cap (or absurdly padded).
-        length = int(text) if len(text) <= 18 else MAX_REQUEST_BYTES + 1
         if length > MAX_REQUEST_BYTES:
             self._reject(413, f"request body over {MAX_REQUEST_BYTES} bytes")
             if length <= 2 * MAX_REQUEST_BYTES:
@@ -412,7 +393,7 @@ class _Connection:
             return
         if http11 and fields.get(b"expect", [b""])[0].lower() == b"100-continue":
             self.sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = self.rfile.read(length)
+        body = framing.read_body(self.rfile, length)
         if len(body) < length:
             return self._reject(400, "request body shorter than its Content-Length")
         answer = self.node.handle_invoke(unquote(path[len("/invoke/"):]), body)
@@ -432,7 +413,7 @@ class _Connection:
         """
         try:
             self.sock.shutdown(socket.SHUT_WR)
-            while length > 0 and (chunk := self.rfile.read(min(length, 1 << 16))):
+            while length > 0 and (chunk := self.rfile.read(min(length, framing.CHUNK))):
                 length -= len(chunk)
         except OSError:
             pass

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
-from xml.etree import ElementTree as ET
 
 from .errors import PolicyFileError, PolicyRuleError
 from .model import (
@@ -440,6 +439,8 @@ class TransmissionPolicyManager:
 
     def save_policy_file(self) -> str:
         """Render the live rule set as a policy document (stable rule order)."""
+        from xml.etree import ElementTree as ET  # on first use, as most nodes read no file
+
         root = ET.Element("policies")
         for rule in self.all_rules():
             attrs = _SCHEMA[rule.kind][0]
@@ -452,6 +453,8 @@ class TransmissionPolicyManager:
     def load_policy_file(self, document: str) -> list[int]:
         """Install the rules of a policy document in document order: all, or
         none if any element is bad."""
+        from xml.etree import ElementTree as ET  # on first use, as most nodes read no file
+
         try:
             root = ET.fromstring(document)
         except ET.ParseError as exc:
@@ -482,8 +485,8 @@ def describe_decision(decision: TransmissionDecision, role: CallRole) -> str:
     return f"{decision.kind.value} via {source}, level {decision.level}"
 
 
-def _rule_fields(elem: ET.Element) -> tuple[RuleKind, dict]:
-    """An element's rule kind and its PolicyRule fields, parsed in file order."""
+def _rule_fields(elem) -> tuple[RuleKind, dict]:
+    """An XML element's rule kind and its PolicyRule fields, parsed in file order."""
     try:
         kind = RuleKind(elem.tag)
     except ValueError:

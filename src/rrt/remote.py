@@ -12,14 +12,16 @@ decides which methods those are.
 
 from __future__ import annotations
 
-import http.client
+import io
 import select
+import socket
 import threading
+import time
 import weakref
 from typing import Callable, Sequence
 from urllib.parse import quote
 
-from . import codec
+from . import codec, framing
 from .codec import Request
 from .errors import (
     ApplicationFault,
@@ -44,56 +46,61 @@ from .registry import Skeleton, accessor_of
 DEFAULT_TIMEOUT = 10.0
 IDLE_PER_ENDPOINT = 4  # idle keep-alive connections kept per endpoint
 
-_POST_HEADERS = {"Content-Type": "application/json"}
-
 
 class HttpClient:
     """HTTP/1.1 client keeping a small pool of idle keep-alive connections
     per endpoint; every outbound request of a node goes through one.
 
-    An idle connection is reused only while it is not readable: end of file,
-    a reset or stray bytes mean the server closed it or the stream is out of
-    step, so it is discarded. A request whose send failed on a reused
-    connection is sent once more on a new one; once a request has been sent
-    in full it is never repeated, because the server may have executed it.
-    Every transport failure raises ``NetworkFault``; a reply other than 200
-    raises ``ServiceNotFound`` (404) or ``ProtocolError``.
+    A request leaves in one write, head and body together. Its reply is read
+    under the server's caps (``framing``) and must carry a
+    ``Content-Length``; bytes past its body close the connection. An idle
+    connection is reused only within ``framing.IDLE_REUSE_LIMIT`` seconds of
+    its last reply, before the server's idle close, and only while it is not
+    readable: end of file, a reset or stray bytes mean the server closed it
+    or the stream is out of step, so it is discarded. A request whose send
+    failed on a reused connection is sent once more on a new one; once a
+    request has been sent in full it is never repeated, because the server
+    may have executed it.
+    Every transport or framing failure raises ``NetworkFault``; a reply
+    other than 200 raises ``ServiceNotFound`` (404) or ``ProtocolError``.
+    Each socket operation waits at most ``timeout`` seconds.
     """
 
     def __init__(self, timeout: float = DEFAULT_TIMEOUT):
         self.timeout = timeout
-        self._idle: dict[Endpoint, list[http.client.HTTPConnection]] = {}
+        self._idle: dict[Endpoint, list[ClientConnection]] = {}
         self._lock = threading.Lock()
 
     def request(
         self, endpoint: Endpoint, method: str, path: str, body: bytes | None = None
     ) -> bytes:
         """Send one request and return the body of its 200 reply."""
-        headers = _POST_HEADERS if body is not None else {}
-        conn = self._checkout(endpoint)
+        conn = None
         try:
+            message = _request_message(endpoint, method, path, body)
+            conn = self._checkout(endpoint)
             if conn is not None:
                 try:
-                    conn.request(method, path, body=body, headers=headers)
+                    conn.send(message)
                 except OSError:  # not sent in full, so safe to send again
                     conn.close()
                     conn = None
             if conn is None:
                 conn = self._connection(endpoint)
-                conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
-            data = resp.read()
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+                conn.send(message)
+            status, data, keep_alive = conn.read_reply()
+        except (OSError, UnicodeError, framing.FramingError) as exc:
+            if conn is not None:
+                conn.close()
             raise NetworkFault(f"{endpoint}: {exc}") from exc
-        if resp.will_close:
-            conn.close()
-        else:
+        if keep_alive:
             self._checkin(endpoint, conn)
-        if resp.status != 200:  # a refusal, whose body says why
-            error = ServiceNotFound if resp.status == 404 else ProtocolError
+        else:
+            conn.close()
+        if status != 200:  # a refusal, whose body says why
+            error = ServiceNotFound if status == 404 else ProtocolError
             raise error(
-                f"{endpoint}: {method} {path} returned HTTP {resp.status}: "
+                f"{endpoint}: {method} {path} returned HTTP {status}: "
                 f"{data.decode('utf-8', 'replace')}"
             )
         return data
@@ -106,23 +113,26 @@ class HttpClient:
             for conn in conns:
                 conn.close()
 
-    def _connection(self, endpoint: Endpoint) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
-            endpoint.host, endpoint.port, timeout=self.timeout
-        )
+    def _connection(self, endpoint: Endpoint) -> ClientConnection:
+        """Open one connection to an endpoint."""
+        sock = socket.create_connection((endpoint.host, endpoint.port), self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return ClientConnection(sock)
 
-    def _checkout(self, endpoint: Endpoint) -> http.client.HTTPConnection | None:
+    def _checkout(self, endpoint: Endpoint) -> ClientConnection | None:
         while True:
             with self._lock:
                 conns = self._idle.get(endpoint)
                 if not conns:
                     return None
                 conn = conns.pop()
-            if _still_open(conn):
+            idle = time.monotonic() - conn.idle_since
+            if idle <= framing.IDLE_REUSE_LIMIT and _still_open(conn):
                 return conn
             conn.close()
 
-    def _checkin(self, endpoint: Endpoint, conn: http.client.HTTPConnection) -> None:
+    def _checkin(self, endpoint: Endpoint, conn: ClientConnection) -> None:
+        conn.idle_since = time.monotonic()
         with self._lock:
             conns = self._idle.setdefault(endpoint, [])
             if len(conns) < IDLE_PER_ENDPOINT:
@@ -131,7 +141,87 @@ class HttpClient:
         conn.close()
 
 
-def _still_open(conn: http.client.HTTPConnection) -> bool:
+def _request_message(endpoint: Endpoint, method: str, path: str, body: bytes | None) -> bytes:
+    """A request's head and body as the one buffer it is sent in."""
+    host = f"[{endpoint.host}]" if ":" in endpoint.host else endpoint.host
+    head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{endpoint.port}\r\n"
+    if body is None:
+        return f"{head}\r\n".encode("latin-1")
+    head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+class ClientConnection:
+    """One outbound connection: its socket, a buffered reader over it, and
+    when its last reply was read (0 until then)."""
+
+    __slots__ = ("sock", "raw", "rfile", "idle_since")
+
+    def __init__(self, sock: socket.socket):
+        self.sock: socket.socket | None = sock
+        self.raw = _SocketStream(sock)
+        self.rfile = io.BufferedReader(self.raw)
+        self.idle_since = 0.0
+
+    def send(self, message: bytes) -> None:
+        self.sock.sendall(message)
+
+    def read_reply(self) -> tuple[int, bytes, bool]:
+        """Read one reply: its status, its body, and whether the connection
+        may carry another request.
+
+        A reply that cannot be framed raises ``FramingError``, and the
+        connection must close: a head over the caps, no ``Content-Length``,
+        a ``Transfer-Encoding``, an interim 1xx status (rrt sends no
+        ``Expect``) or a body cut short.
+        """
+        head = framing.read_head(self.rfile, framing.STATUS_LINE, "status line")
+        if head is None:
+            raise framing.FramingError("connection closed before the reply")
+        status_line, fields = head
+        minor, status = status_line[1], int(status_line[2])
+        if status < 200:
+            raise framing.FramingError(f"unexpected interim reply {status}")
+        length = framing.content_length(fields)
+        if length is None:
+            raise framing.FramingError("reply without a Content-Length")
+        body = framing.read_body(self.rfile, length)
+        if len(body) < length:
+            raise framing.FramingError("reply body shorter than its Content-Length")
+        # Bytes already past the body are out of step: the next read would
+        # take them for the next reply, so the connection closes instead.
+        in_step = self.rfile.tell() == self.raw.received
+        connection = fields.get(b"connection", [b""])[0]
+        return status, body, in_step and minor != b"0" and connection.lower() != b"close"
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            self.rfile.close()
+            sock.close()
+
+
+class _SocketStream(io.RawIOBase):
+    """A socket's receiving side as a raw stream that counts what it has
+    received, so a buffered reader's ``tell()`` shows what it holds unread."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self.received = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._sock.recv_into(buffer)
+        self.received += n
+        return n
+
+    def tell(self) -> int:
+        return self.received
+
+
+def _still_open(conn: ClientConnection) -> bool:
     """True when an idle connection has nothing to read: no end of file, no
     reset, no stray bytes. POSIX only, as ``select.poll`` is."""
     if conn.sock is None:

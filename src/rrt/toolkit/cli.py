@@ -117,13 +117,13 @@ def _cmd_node(ns) -> int:
     types = TypeRegistry()
     register_demo_types(types)
     guid_source = SeededGuidSource(ns.seed) if ns.seed is not None else None
-    node = RRTNode(config, types=types, guid_source=guid_source)
     # Blocked before the node starts a thread, and threads inherit the mask,
     # so either signal waits for sigwait however early it comes.
     stop_signals = {signal.SIGINT, signal.SIGTERM}
     old_mask = signal.pthread_sigmask(signal.SIG_BLOCK, stop_signals)
     try:
         try:
+            node = RRTNode(config, types=types, guid_source=guid_source)
             if ns.log is not None:
                 log_faults_to(ns.log)
             apply_startup_files(node, ns.policy, ns.manifest)

@@ -24,9 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rrt.codec import Request, encode_request
-from rrt.node import (
-    MAX_CONNECTIONS, MAX_HEADERS, MAX_LINE, MAX_REQUEST_BYTES, NodeConfig, serve,
-)
+from rrt.framing import MAX_HEADERS, MAX_LINE
+from rrt.node import MAX_CONNECTIONS, MAX_REQUEST_BYTES, NodeConfig, serve
 from rrt.registry import TypeRegistry
 from rrt.toolkit.demo import Key, P2PNode, register_demo_types
 

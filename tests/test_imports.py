@@ -1,11 +1,15 @@
 """Every name a runtime module imports is used in that module; every
 module-level name a runtime module defines is referenced somewhere in the
-runtime, its tests or its benchmark; and every option a runtime module
-declares is set somewhere there, by a call of that very function or class."""
+runtime, its tests or its benchmark; every option a runtime module
+declares is set somewhere there, by a call of that very function or class;
+and importing the runtime loads no stdlib HTTP stack."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterable
 
@@ -324,3 +328,21 @@ def test_checker_flags_a_dataclass_field_never_set():
     assert unpassed_options(module, keywords_passed([module, client])) == [
         "line 7: Msg.version",
     ]
+
+
+def test_import_loads_no_stdlib_http_stack():
+    """rrt frames HTTP itself, so ``import rrt`` in a fresh interpreter loads
+    neither the stdlib's HTTP client nor its server, nor what they pull in."""
+    heavy = ("http.client", "http.server", "ssl", "email")
+    code = (
+        f"import sys, rrt\nheavy = {heavy!r}\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m in heavy or m.startswith(tuple(h + '.' for h in heavy))))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import support
 from rrt import codec
@@ -22,6 +23,7 @@ from rrt.errors import (
     UnknownMethodError,
     WireFormatError,
 )
+from rrt.framing import CHUNK, IDLE_REUSE_LIMIT, IDLE_TIMEOUT, MAX_HEADERS, MAX_LINE
 from rrt.model import (
     UNBOUNDED,
     Endpoint,
@@ -33,6 +35,7 @@ from rrt.model import (
 from rrt.node import NodeConfig
 from rrt.registry import MethodTable
 from rrt.remote import (
+    ClientConnection,
     Handle,
     HttpClient,
     _still_open,
@@ -504,13 +507,13 @@ def _answer_once_then_drop(listener: socket.socket, seen: list[bytes]) -> None:
 @pytest.fixture
 def connects(monkeypatch):
     opened = []
-    real = http.client.HTTPConnection.connect
+    real = HttpClient._connection
 
-    def counting(conn):
-        opened.append(conn)
-        return real(conn)
+    def counting(client, endpoint):
+        opened.append(endpoint)
+        return real(client, endpoint)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    monkeypatch.setattr(HttpClient, "_connection", counting)
     return opened
 
 
@@ -540,16 +543,16 @@ class TestHttpClient:
         client = HttpClient(timeout=5)
         endpoint = pair.a.endpoint
         client.request(endpoint, "GET", "/services")
-        real = http.client.HTTPConnection.request
+        real = ClientConnection.send
         broken = []
 
-        def flaky(conn, *args, **kwargs):
-            if conn.sock is not None and not broken:  # reused, already connected
+        def flaky(conn, message):
+            if conn.idle_since and not broken:  # reused, checked in after a reply
                 broken.append(conn)
                 raise BrokenPipeError("peer went away")
-            return real(conn, *args, **kwargs)
+            return real(conn, message)
 
-        monkeypatch.setattr(http.client.HTTPConnection, "request", flaky)
+        monkeypatch.setattr(ClientConnection, "send", flaky)
         body = encode_request(Request("P2P", "getKey", ()))
         client.request(endpoint, "POST", "/invoke/P2P", body)
         client.close()
@@ -577,6 +580,252 @@ class TestHttpClient:
             client.close()
             listener.close()
         assert len(seen) == 2
+
+    def test_unencodable_host_is_a_network_fault(self, monkeypatch):
+        def refused(client, endpoint):  # so no name is ever looked up
+            raise ConnectionRefusedError(endpoint.host)
+
+        monkeypatch.setattr(HttpClient, "_connection", refused)
+        with pytest.raises(NetworkFault):
+            HttpClient(timeout=5).request(Endpoint("h\u20ac", 1), "GET", "/services")
+
+
+class TestIdleReuse:
+    @pytest.mark.parametrize(
+        "idle,opened",
+        [(IDLE_REUSE_LIMIT + 0.5, 2), (IDLE_REUSE_LIMIT - 0.5, 1)],
+        ids=["over-the-limit", "just-under-the-limit"],
+    )
+    def test_connection_idle_past_the_limit_is_replaced(
+        self, pair, deployed, connects, idle, opened
+    ):
+        client = HttpClient(timeout=5)
+        endpoint = pair.a.endpoint
+        try:
+            client.request(endpoint, "GET", "/services")
+            (conn,) = client._idle[endpoint]
+            conn.idle_since = time.monotonic() - idle
+            client.request(endpoint, "GET", "/services")
+        finally:
+            client.close()
+        assert len(connects) == opened
+
+    def test_limit_is_below_the_server_idle_timeout(self):
+        assert 0 < IDLE_REUSE_LIMIT < IDLE_TIMEOUT
+
+
+class Recording:
+    """A reader that notes what each read asked for and how much it got."""
+
+    def __init__(self, rfile):
+        self.rfile = rfile
+        self.reads: list[tuple[str, int, int]] = []
+
+    def readline(self, limit: int = -1) -> bytes:
+        line = self.rfile.readline(limit)
+        self.reads.append(("readline", limit, len(line)))
+        return line
+
+    def read(self, n: int = -1) -> bytes:
+        data = self.rfile.read(n)
+        self.reads.append(("read", n, len(data)))
+        return data
+
+    def tell(self) -> int:
+        return self.rfile.tell()
+
+    def close(self) -> None:
+        self.rfile.close()
+
+
+def reply_over_socketpair(reply: bytes, body: bytes | None = None):
+    """Send one request (a GET, or a POST of ``body``) through an HttpClient
+    whose connection is a socket pair carrying ``reply``; return what the
+    request returned or raised, and the reads its reader made."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(5)
+    recorded = []
+
+    def connect(endpoint):
+        conn = ClientConnection(ours)
+        conn.rfile = Recording(conn.rfile)
+        recorded.append(conn.rfile)
+        return conn
+
+    def write():
+        try:
+            theirs.sendall(reply)
+            theirs.shutdown(socket.SHUT_WR)
+        except OSError:  # the client closed with the reply unread
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    client = HttpClient(timeout=5)
+    client._connection = connect
+    try:
+        method = "GET" if body is None else "POST"
+        outcome = client.request(Endpoint("127.0.0.1", 1), method, "/services", body)
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        outcome = exc
+    finally:
+        client.close()
+        writer.join(timeout=5)
+        theirs.close()
+    return outcome, recorded[0].reads
+
+
+GOOD_STATUS_LINES = [
+    b"HTTP/1.1 200 OK", b"HTTP/1.1 200", b"HTTP/1.0 200 OK", b"HTTP/1.1 404 Not Found",
+    b"HTTP/1.1 500 Internal Server Error",
+]
+ODD_STATUS_LINES = [
+    b"HTTP/1.1 100 Continue", b"HTTP/2.0 200 OK", b"HTTP/1.1 2000 OK", b"HTTP/1.x 200 OK",
+    b"HTTP/1.1 200 " + b"x" * MAX_LINE,
+]
+FIELD_LINES = [
+    b"Connection: close", b"Content-Type: text/plain", b"Content-Length: -1",
+    b"Content-Length: 99999999999999999999", b"Transfer-Encoding: chunked",
+    b" folded", b"no colon", b"Bad Name: x", b"X-Long: " + b"a" * MAX_LINE,
+]
+
+
+@st.composite
+def replies(draw) -> bytes:
+    """Reply bytes: mostly a well-formed status line, a declared length that
+    fits the body, exceeds it or is missing, now and then odd or arbitrary
+    lines, and sometimes more field lines than the cap."""
+    kind = draw(st.integers(0, 9))
+    if kind < 7:
+        status = draw(st.sampled_from(GOOD_STATUS_LINES))
+    elif kind < 9:
+        status = draw(st.sampled_from(ODD_STATUS_LINES))
+    else:
+        status = draw(st.binary(max_size=24))
+    body = draw(st.binary(max_size=64))
+    odd = st.sampled_from(FIELD_LINES) | st.binary(max_size=24)
+    fields = draw(st.lists(odd, max_size=2, unique=True)) if draw(st.booleans()) else []
+    length = draw(st.sampled_from([len(body), len(body), len(body) + 5, None]))
+    if length is not None:
+        fields.insert(draw(st.integers(0, len(fields))), f"Content-Length: {length}".encode())
+    if draw(st.integers(0, 19)) == 19:
+        fields += [b"X-Filler: 1"] * MAX_HEADERS
+    end = draw(st.sampled_from([b"\r\n\r\n"] * 3 + [b"\n\n", b"\r\n", b""]))
+    return b"\r\n".join([status, *fields]) + end + body
+
+
+class TestReplyReader:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(replies())
+    def test_any_reply_is_parsed_or_a_typed_error(self, reply):
+        outcome, reads = reply_over_socketpair(reply)
+        assert isinstance(outcome, (bytes, NetworkFault, ProtocolError, ServiceNotFound)), outcome
+        if isinstance(outcome, bytes):  # the body is the last thing read, and whole
+            consumed = sum(got for _, _, got in reads)
+            assert reply.startswith(b"HTTP/1.")
+            assert reply[consumed - len(outcome):consumed] == outcome
+        # Never past the caps: each line at most MAX_LINE + 1 bytes, at most
+        # MAX_HEADERS field lines after the status line, each read one chunk.
+        lines = [got for kind, _, got in reads if kind == "readline"]
+        assert len(lines) <= 1 + MAX_HEADERS + 1
+        assert all(got <= MAX_LINE + 1 for got in lines)
+        assert all(asked <= CHUNK for kind, asked, _ in reads if kind == "read")
+
+    @pytest.mark.parametrize(
+        "reply,reason",
+        [
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+             "without a Content-Length"),
+            (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\nok",
+             "without a Content-Length"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nok", "shorter than"),
+            (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+             "interim reply 100"),
+            (b"HTTP/1.1 200 " + b"x" * MAX_LINE + b"\r\nContent-Length: 2\r\n\r\nok",
+             "status line over"),
+            (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * MAX_LINE + b"\r\nContent-Length: 2\r\n\r\nok",
+             "header line over"),
+        ],
+        ids=["chunked", "no-length", "short-body", "interim-100", "long-status-line",
+             "long-header-line"],
+    )
+    def test_unframable_reply_is_a_network_fault_and_closes(self, reply, reason):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+        closed = []
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                conn.recv(1 << 16)  # the whole GET, sent in one write
+                try:
+                    conn.sendall(reply)
+                    conn.shutdown(socket.SHUT_WR)
+                    closed.append(conn.recv(1) == b"")
+                except ConnectionResetError:  # closed with the reply unread
+                    closed.append(True)
+
+        peer = threading.Thread(target=answer)
+        peer.start()
+        client = HttpClient(timeout=5)
+        endpoint = Endpoint("127.0.0.1", listener.getsockname()[1])
+        try:
+            with pytest.raises(NetworkFault, match=reason):
+                client.request(endpoint, "GET", "/services")
+            assert not client._idle.get(endpoint)
+            peer.join(timeout=5)
+        finally:
+            client.close()
+            listener.close()
+        assert closed == [True]
+
+    def test_bytes_past_the_reply_close_the_connection(self, connects):
+        """A stray reply sent with the first one is never taken for the next."""
+        replies_sent = [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nstray",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nreal",
+        ]
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+
+        def answer():
+            for reply in replies_sent:  # one connection each
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5)
+                    conn.recv(1 << 16)
+                    conn.sendall(reply)
+                    conn.recv(1)  # until the client closes
+
+        peer = threading.Thread(target=answer)
+        peer.start()
+        client = HttpClient(timeout=5)
+        endpoint = Endpoint("127.0.0.1", listener.getsockname()[1])
+        try:
+            assert client.request(endpoint, "GET", "/a") == b"ok"
+            assert client.request(endpoint, "GET", "/b") == b"real"
+        finally:
+            client.close()
+            peer.join(timeout=5)
+            listener.close()
+        assert len(connects) == 2
+
+    def test_head_and_body_leave_in_one_send(self, monkeypatch):
+        sent = []
+        real = ClientConnection.send
+
+        def recording(conn, message):
+            sent.append(message)
+            return real(conn, message)
+
+        monkeypatch.setattr(ClientConnection, "send", recording)
+        ok = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        assert reply_over_socketpair(ok, b'{"v":1}')[0] == b"ok"
+        (message,) = sent
+        assert message.startswith(b"POST /services HTTP/1.1\r\n")
+        assert message.endswith(b"Content-Length: 7\r\n\r\n{\"v\":1}")
 
 
 class TestStillOpen:

@@ -349,6 +349,19 @@ class TestCliStartup:
         assert proc.returncode == 1
         assert proc.stderr.startswith("startup failed: cannot serve on unspecified")
 
+    @pytest.mark.parametrize(
+        "option,message",
+        [(["--host", ""], "host must be non-empty"), (["--port", "70000"], "out of range")],
+        ids=["empty-host", "port-out-of-range"],
+    )
+    def test_bad_endpoint_exits_one(self, option, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rrt.toolkit.cli", "node", "--port", "0", *option],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("startup failed: ") and message in proc.stderr
+
     @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stderr"])
     def test_log_writes_one_line_per_suppressed_fault(
         self, tmp_path, capsys, restore_rrt_logger, to_file
