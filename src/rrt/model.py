@@ -7,8 +7,8 @@ nodes agree on a type iff the names match.
 
 from __future__ import annotations
 
+import os
 import re
-import secrets
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
@@ -85,9 +85,10 @@ def guid_new(source: GuidSource | None = None) -> GUID:
     """Return a fresh uniformly random 128-bit GUID.
 
     ``source`` may supply the 16 random bytes (tests inject seeded sources);
-    the default draws from the OS cryptographic generator.
+    the default draws from the OS cryptographic generator, as
+    ``secrets.token_bytes`` does, without the ``hmac`` and OpenSSL imports.
     """
-    raw = source() if source is not None else secrets.token_bytes(16)
+    raw = source() if source is not None else os.urandom(16)
     return GUID(bytes(raw))
 
 

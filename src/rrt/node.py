@@ -89,11 +89,13 @@ class RRTNode:
         self._listener: socket.socket | None = None
         self._conns: set[socket.socket] = set()
         self._conns_lock = threading.Lock()
-        # Where this node's references point; start() sets the bound port.
+        # Where this node's references point. Port 0 names none until start()
+        # binds a port, so the host is checked against a stand-in port.
         try:
-            self.endpoint = Endpoint(self.config.host, self.config.port or DEFAULT_PORT)
+            endpoint = Endpoint(self.config.host, self.config.port or DEFAULT_PORT)
         except ValueError as exc:  # an empty host or a port out of range
             raise ConfigError(str(exc)) from None
+        self.endpoint: Endpoint | None = endpoint if self.config.port else None
 
     # -- identity & lifecycle -------------------------------------------------
 

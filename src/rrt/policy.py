@@ -189,15 +189,17 @@ class TransmissionPolicyManager:
     older one of the same overridability. A cache-rule slot holds one rule
     per field instead. ``types`` (the node's registry) validates rules
     against registered types and gives the supertype chains that class rules
-    match. Resolution reads the table under the same lock that setting a
-    rule takes.
+    match. A published table and its slots never change: a writer builds a
+    new table under the lock and publishes it with one assignment. A reader
+    takes no lock and sees each rule change, or each policy file, whole or
+    not at all.
     """
 
     def __init__(self, types: TypeRegistry | None = None):
         self._types = types if types is not None else TypeRegistry()
         self._rules: dict[tuple, dict] = {}
         self._next_id = 0
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()  # writers and the rule-id counter only
 
     # -- rule installation ---------------------------------------------------
 
@@ -274,11 +276,14 @@ class TransmissionPolicyManager:
         return self._install(rule)[0]
 
     def _install(self, *rules: PolicyRule) -> list[int]:
-        """Put rules in the table under one lock; each replaces its slot's rule."""
+        """Publish a table with the rules in it; each replaces its slot's rule."""
         with self._lock:
+            table = dict(self._rules)
             for rule in rules:
+                key = _key(rule)
                 slot = rule.field_name if rule.kind is RuleKind.CACHE_FIELD else rule.overridable
-                self._rules.setdefault(_key(rule), {})[slot] = rule
+                table[key] = {**table.get(key, _EMPTY), slot: rule}
+            self._rules = table
         return [rule.rule_id for rule in rules]
 
     def _new_rule(self, kind: RuleKind, type_name: str, **fields) -> PolicyRule:
@@ -334,30 +339,24 @@ class TransmissionPolicyManager:
         return self._slot_rules((RuleKind.PARAM, type_name, method_name, param_index))
 
     def _slot_rules(self, key: tuple) -> list[PolicyRule]:
-        with self._lock:
-            return sorted(self._rules.get(key, _EMPTY).values(), key=lambda r: r.rule_id)
+        return sorted(self._rules.get(key, _EMPTY).values(), key=lambda r: r.rule_id)
 
     def cached_fields_for(self, type_names: Iterable[str]) -> set[str]:
         """Union of cache-rule field names over several type names."""
-        with self._lock:
-            return {
-                field
-                for name in type_names
-                for field in self._rules.get((RuleKind.CACHE_FIELD, name), _EMPTY)
-            }
+        rules = self._rules
+        return {f for name in type_names for f in rules.get((RuleKind.CACHE_FIELD, name), _EMPTY)}
 
     def all_rules(self) -> list[PolicyRule]:
-        with self._lock:
-            rules = [r for slot in self._rules.values() for r in slot.values()]
+        rules = [r for slot in self._rules.values() for r in slot.values()]
         return sorted(rules, key=lambda r: r.rule_id)
 
     def remove_rule(self, rule_id: int) -> bool:
         with self._lock:
-            for slot in self._rules.values():
-                for sid, rule in slot.items():
-                    if rule.rule_id == rule_id:
-                        del slot[sid]
-                        return True
+            for key, slot in self._rules.items():
+                kept = {sid: rule for sid, rule in slot.items() if rule.rule_id != rule_id}
+                if len(kept) < len(slot):
+                    self._rules = {**self._rules, key: kept}
+                    return True
         return False
 
     @contextmanager
@@ -402,20 +401,18 @@ class TransmissionPolicyManager:
         if context.actual_type_name in _ALWAYS_BY_VALUE:
             return _BY_VALUE
         declared, method = context.declared_type_name, context.method_name
-        rules = self._rules
+        rules = self._rules  # one published table decides the whole value
         # One slot per tier, highest precedence first.
-        with self._lock:
-            if context.role is CallRole.ARGUMENT:
-                key = (RuleKind.PARAM, declared, method, context.param_index)
-                param = rules.get(key, _EMPTY)
-                overlays = _PARAM_OVERLAY.get()
-                if overlays and (self, key) in overlays:
-                    param = {**param, **overlays[self, key]}
-                tiers = [param, rules.get((RuleKind.METHOD, declared, method), _EMPTY)]
-            else:
-                tiers = [rules.get((RuleKind.RETURN, declared, method), _EMPTY)]
-            tiers.append(self._class_match(context.actual_type_name))
-
+        if context.role is CallRole.ARGUMENT:
+            key = (RuleKind.PARAM, declared, method, context.param_index)
+            param = rules.get(key, _EMPTY)
+            overlays = _PARAM_OVERLAY.get()
+            if overlays and (self, key) in overlays:
+                param = {**param, **overlays[self, key]}
+            tiers = [param, rules.get((RuleKind.METHOD, declared, method), _EMPTY)]
+        else:
+            tiers = [rules.get((RuleKind.RETURN, declared, method), _EMPTY)]
+        tiers.append(self._class_match(rules, context.actual_type_name))
         for overridable in (False, True):
             for slot in tiers:
                 rule = slot.get(overridable)
@@ -423,12 +420,12 @@ class TransmissionPolicyManager:
                     return rule.decision
         return _BY_REFERENCE if context.peer_kind is PeerKind.RRT else _BY_VALUE
 
-    def _class_match(self, actual_type_name: str) -> dict[bool, PolicyRule]:
+    def _class_match(self, rules: dict, actual_type_name: str) -> dict[bool, PolicyRule]:
         # Walk the actual type's chain, most-derived first; the first match
         # per overridability tier wins. One table probe per chain entry.
         found: dict[bool, PolicyRule] = {}
         for pos, tname in enumerate(self._types.supertype_chain_of(actual_type_name)):
-            for ov, rule in self._rules.get((RuleKind.CLASS, tname), _EMPTY).items():
+            for ov, rule in rules.get((RuleKind.CLASS, tname), _EMPTY).items():
                 if ov not in found and (pos == 0 or rule.apply_to_subtypes):
                     found[ov] = rule
             if len(found) == 2:

@@ -25,6 +25,7 @@ from . import codec, framing
 from .codec import Request
 from .errors import (
     ApplicationFault,
+    ConfigError,
     NetworkFault,
     ProtocolError,
     ServiceNotFound,
@@ -475,7 +476,10 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
     reference goes on the wire: cache-rule field names applicable to the
     service (via its concrete type or its deployment interface, including
     supertypes) that the interface declares, plus the current field values.
+    A node on port 0 that has not started has no address to put in it.
     """
+    if node.endpoint is None:
+        raise ConfigError("a node on port 0 has no address until start()")
     iface = skeleton.interface_descriptor
     cached = node.policy.cached_fields_for(
         skeleton.concrete.lineage + node.types.supertype_chain_of(iface.type_name)

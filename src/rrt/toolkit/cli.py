@@ -176,7 +176,7 @@ def apply_startup_files(node: RRTNode, policy_file=None, deploy_manifest=None) -
             raise ConfigError(f"manifest entry {pos}: constructor_args must be a list")
         try:
             obj = rt.factory(*args)
-            node.deploy(obj, entry.get("interface"), entry.get("name"))
+            node.services.deploy(obj, entry.get("interface"), entry.get("name"))
         except RRTError:
             raise
         except Exception as exc:

@@ -94,6 +94,23 @@ class TestPrimitives:
         # A by-reference decision never wraps a primitive.
         assert encode_value(42, by_reference(), registry=registry) == prim("i64", 42)
 
+    def test_subclasses_encode_under_their_base_tag(self, registry):
+        class Count(int):
+            pass
+
+        class Ratio(float):
+            pass
+
+        class Name(str):
+            pass
+
+        def enc(value):
+            return encode_value(value, by_value(), registry=registry)
+
+        assert enc(Count(7)) == prim("i64", 7)
+        assert enc(Ratio(0.5)) == prim("f64", 0.5)
+        assert enc(Name("n")) == prim("str", "n")
+
     def test_i64_overflow_rejected(self, registry):
         with pytest.raises(WireFormatError, match="64-bit"):
             encode_value(2**63, by_value(), registry=registry)
@@ -140,6 +157,12 @@ class TestGraphEncoding:
 
         walk(wire)
         assert order == [0, 1, 2, 3]
+
+    def test_live_object_without_a_declared_field_rejected(self, registry):
+        node = GNode(tag="x")
+        del node.left
+        with pytest.raises(WireFormatError, match="GNode.left: live object has no such field"):
+            encode_value(node, by_value(), registry=registry)
 
     def test_unregistered_type_rejected(self, registry):
         class Alien:

@@ -331,9 +331,13 @@ def test_checker_flags_a_dataclass_field_never_set():
 
 
 def test_import_loads_no_stdlib_http_stack():
-    """rrt frames HTTP itself, so ``import rrt`` in a fresh interpreter loads
-    neither the stdlib's HTTP client nor its server, nor what they pull in."""
-    heavy = ("http.client", "http.server", "ssl", "email")
+    """rrt frames HTTP itself and draws GUIDs from ``os.urandom``, so
+    ``import rrt`` in a fresh interpreter loads neither the stdlib's HTTP
+    client nor its server, nor what they pull in, nor ``secrets`` and the
+    OpenSSL-backed hashing it imports."""
+    heavy = (
+        "http.client", "http.server", "ssl", "email", "secrets", "hmac", "hashlib", "_hashlib",
+    )
     code = (
         f"import sys, rrt\nheavy = {heavy!r}\n"
         "print(sorted(m for m in sys.modules\n"

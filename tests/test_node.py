@@ -81,6 +81,23 @@ class TestServe:
             node.start()
         assert not node.running
 
+    def test_unstarted_node_on_port_zero_hands_out_no_reference(self, node):
+        # Before start() a port-0 node has no port, so any reference it
+        # handed out would name an address where no node listens.
+        types = TypeRegistry()
+        register_demo_types(types)
+        client = RRTNode(types=types)
+        assert client.endpoint is None
+        try:
+            p2p = client.get_object_by_name(node.endpoint.host, node.endpoint.port, "P2P")
+            with pytest.raises(ConfigError, match="no address until start"):
+                p2p.addPeer(P2PNode(Key("peer")))
+            with pytest.raises(ConfigError, match="no address until start"):
+                client.deploy(P2PNode(Key("k")), "IP2PNode", "Mine")
+        finally:
+            client.stop()
+        assert node.services.lookup("P2P").service_object.peers == []
+
     def test_manifest_and_policy_applied_before_traffic(self, tmp_path):
         manifest = tmp_path / "deploy.json"
         manifest.write_text(
@@ -156,6 +173,12 @@ class TestInvokeEndpoint:
         assert not resp.ok
         assert resp.fault.kind == "protocol"
         assert resp.fault.fault_class == "ServiceNotFound"
+
+    def test_unknown_guid_protocol_fault(self, node):
+        resp = invoke(node, "0" * 32, "route")
+        assert not resp.ok and resp.fault.kind == "protocol"
+        assert resp.fault.fault_class == "ServiceNotFound"
+        assert resp.fault.message == f"no service with GUID {'0' * 32}"
 
     def test_interface_protection_over_the_wire(self, node):
         node.deploy(P2PNode(Key("x")), "IManage", "Manage")

@@ -285,6 +285,81 @@ class _CountingTable(dict):
         return super().get(key, default)
 
 
+class _LoadOnFirstGet(dict):
+    """A rule slot whose first lookup answers, then lets ``writer`` run to
+    completion in another thread before the reader goes on."""
+
+    def __init__(self, slot, writer):
+        super().__init__(slot)
+        self._writer = writer
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if self._writer is not None:
+            thread = threading.Thread(target=self._writer)
+            self._writer = None
+            thread.start()
+            thread.join(timeout=30)
+        return found
+
+
+TORN_READ_POLICY = """<policies>
+  <method class="I" name="m" policy="BY_REFERENCE" depth="unbounded" overridable="false" />
+  <param class="I" method="m" index="0" policy="BY_VALUE" depth="unbounded" overridable="false" />
+</policies>"""
+
+
+class TestPublishedTable:
+    def test_policy_file_loaded_during_resolve_is_seen_whole_or_not_at_all(self, manager):
+        manager.set_param_policy("I", "m", 0, VAL, UNBOUNDED, True)
+        manager.set_method_policy("I", "m", REF, UNBOUNDED, True)
+        before = manager.resolve(arg_ctx())
+        assert (before.kind, before.level) == (VAL, 4)
+
+        key = (RuleKind.PARAM, "I", "m", 0)
+        loaded = []
+        manager._rules[key] = _LoadOnFirstGet(
+            manager._rules[key],
+            lambda: loaded.append(manager.load_policy_file(TORN_READ_POLICY)),
+        )
+        during = manager.resolve(arg_ctx())
+        assert len(loaded) == 1
+        after = manager.resolve(arg_ctx())
+        assert (after.kind, after.level) == (VAL, 1)
+        assert during in (before, after)
+
+    def test_writers_leave_a_published_table_unchanged(self, manager):
+        rule_id = manager.set_class_policy("Base", VAL, True)
+        table = manager._rules
+        frozen = {key: dict(slot) for key, slot in table.items()}
+        manager.set_class_policy("Base", REF, False)
+        manager.load_policy_file(TORN_READ_POLICY)
+        assert manager.remove_rule(rule_id)
+        assert table == frozen
+        assert manager.get_class_policy("Base")[0].policy is REF
+
+    def test_concurrent_writers_lose_no_rule(self, manager):
+        barrier = threading.Barrier(4)
+
+        def write(t):
+            barrier.wait()
+            for i in range(100):
+                manager.set_class_policy(f"T{t}.{i}", VAL, True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(manager.all_rules()) == 400
+
+
 class TestScopedParamRule:
     def test_scope_installs_and_restores(self, manager):
         outer = manager.set_param_policy("I", "m", 1, VAL, 1, False)

@@ -124,6 +124,21 @@ class TestResolveIncomingRior:
         assert handle.cached_fields["key"].value == "node-key"
 
 
+class Mirror:
+    """Hands back what it is given, and keeps what it saw."""
+
+    def __init__(self):
+        self.seen = []
+
+    def items(self, values):
+        self.seen.append(values)
+        return values
+
+    def negate(self, flag):
+        self.seen.append(flag)
+        return not flag
+
+
 class TestRemoteInvoke:
     def test_round_trip_by_value(self, pair, deployed):
         install_demo_policy(pair.b)  # Key instances travel by value
@@ -162,6 +177,45 @@ class TestRemoteInvoke:
         # B sends A's own service back to A as an argument.
         handle.addPeer(handle)
         assert deployed.peers[-1] is deployed
+
+    @pytest.fixture
+    def mirror(self, pair):
+        desc = TypeDescriptor(
+            "Mirror",
+            methods=(
+                MethodDescriptor("items", ("list",), "list"),
+                MethodDescriptor("negate", ("bool",), "bool"),
+            ),
+        )
+        pair.a.types.register_type(desc, MethodTable.for_class(Mirror, desc), py_type=Mirror)
+        served = Mirror()
+        pair.a.deploy(served, name="mirror")
+        return served, pair.b.get_object_by_name(*a_addr(pair), "mirror")
+
+    def test_bool_argument_crosses(self, mirror):
+        served, handle = mirror
+        assert handle.negate(True) is False
+        assert served.seen == [True]
+
+    def test_list_argument_crosses_as_references_and_loops_back(self, pair, mirror):
+        served, handle = mirror
+        mine = [P2PNode(Key("x")), P2PNode(Key("y"))]
+        back = handle.items(mine)
+        [seen] = served.seen
+        assert all(isinstance(h, Handle) and h.rior.endpoint == pair.b.endpoint for h in seen)
+        assert len(back) == 2 and back[0] is mine[0] and back[1] is mine[1]
+
+    def test_network_fault_reply_goes_through_the_failure_policy(
+        self, pair, deployed, monkeypatch
+    ):
+        handle = pair.b.get_object_by_name(*a_addr(pair), "P2P")
+        reply = codec.encode_response(
+            codec.Response(ok=False, fault=codec.Fault("network", "NetworkFault", "peer down"))
+        )
+        monkeypatch.setattr(pair.b.http, "request", lambda *args: reply)
+        assert handle.getKey() is None
+        [record] = pair.b.fault_log
+        assert record.endswith("network NetworkFault: peer down")
 
     def test_wire_call_sends_one_request(self, pair, deployed):
         host, port = a_addr(pair)
