@@ -12,12 +12,15 @@ most ``MAX_NESTING`` levels deep: past it, encoding raises
 ``WireFormatError`` and decoding raises ``ProtocolError``.
 
 The codec is stateless between messages; per-message state (the seen-object
-table, the id counter) is confined to one call.
+table, the id counter) is confined to one call. Only documents of immutable
+references outlive a message: each ``RIOR`` keeps its own, and a node's
+``ReferenceMemo`` the ones it accepted last.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +50,10 @@ PRIM_TAGS = frozenset({"i64", "f64", "bool", "str", "null"})
 MAX_NESTING = 200
 #: Largest invoke body a node accepts; larger requests are refused unsent.
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
+#: References a node remembers in each direction, by GUID.
+REFERENCE_MEMO_LIMIT = 64
+#: Longest host or service name of a reference document a node remembers.
+REMEMBERED_TEXT_LIMIT = 256
 
 _TAG_OF_TYPE = {type(None): "null", bool: "bool", int: "i64", float: "f64", str: "str"}
 
@@ -232,13 +239,20 @@ class MessageDecoder:
     Every document is checked as it is read. Inlined objects are created
     from their registered classes, without running a constructor, and
     populated field by field; back-references restore aliasing and cycles.
-    Remote references go through the resolver (loop-back, proxy cache, or a
-    new handle).
+    Remote references are parsed through ``references`` when given, else in
+    full, and then go through the resolver (loop-back, proxy cache, or a new
+    handle).
     """
 
-    def __init__(self, registry, resolve_ref: ResolveRef | None = None):
+    def __init__(
+        self,
+        registry,
+        resolve_ref: ResolveRef | None = None,
+        references: ReferenceMemo | None = None,
+    ):
         self._registry = registry
         self._resolve_ref = resolve_ref
+        self._references = references
         self._table: dict[int, object] = {}
 
     def decode(self, doc: object) -> object:
@@ -262,7 +276,11 @@ class MessageDecoder:
             _check_nesting(nesting, ProtocolError)
             return [self._decode(e, nesting + 1) for e in elements]
         if kind == "ref":
-            rior = doc_to_rior(_req(doc, "rior", dict), self._registry)
+            rior_doc = _req(doc, "rior", dict)
+            if self._references is not None:
+                rior = self._references.parse(rior_doc)
+            else:
+                rior = doc_to_rior(rior_doc, self._registry)
             if self._resolve_ref is None:
                 raise ProtocolError("remote reference arrived without a resolver")
             return self._resolve_ref(rior)
@@ -333,11 +351,13 @@ def decode_value(
 # -- canonical JSON ----------------------------------------------------------
 
 
+# One encoder for every message: encoding keeps no state in it.
+_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def canonical_bytes(doc: object) -> bytes:
     try:
-        return json.dumps(
-            doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-        ).encode("utf-8")
+        return _JSON.encode(doc).encode("utf-8")
     except ValueError as exc:
         raise WireFormatError(f"value not representable in JSON: {exc}") from exc
     except RecursionError as exc:
@@ -407,20 +427,31 @@ def doc_to_descriptor(doc: object) -> TypeDescriptor:
         raise ProtocolError(f"malformed type descriptor: {exc}") from exc
 
 
-def rior_to_doc(rior: RIOR) -> dict:
-    # Cache keys are emitted sorted so equal references always yield equal bytes.
-    names = sorted(rior.cached_field_snapshot)
-    return {
-        "host": rior.endpoint.host,
-        "port": rior.endpoint.port,
-        "guid": rior.guid.hex,
-        "name": rior.service_name,
-        "iface": descriptor_to_doc(rior.interface_descriptor),
-        "cache": {
-            "fields": {n: rior.cached_field_snapshot[n] for n in names},
-            "accessors": names,
-        },
-    }
+# The cache section of every document without a snapshot: documents are shared.
+_NO_CACHE = {"fields": {}, "accessors": []}
+
+
+def rior_to_doc(rior: RIOR, iface_doc: dict | None = None) -> dict:
+    """The reference's wire document, built on first use and kept with it:
+    every message that carries the reference shares it, so no caller may
+    change it. ``iface_doc`` is the interface's document, if already built."""
+    doc = rior._doc
+    if doc is None:
+        # Cache keys are emitted sorted so equal references always yield equal bytes.
+        names = sorted(rior.cached_field_snapshot)
+        doc = {
+            "host": rior.endpoint.host,
+            "port": rior.endpoint.port,
+            "guid": rior.guid.hex,
+            "name": rior.service_name,
+            "iface": iface_doc or descriptor_to_doc(rior.interface_descriptor),
+            "cache": {
+                "fields": {n: rior.cached_field_snapshot[n] for n in names},
+                "accessors": names,
+            } if names else _NO_CACHE,
+        }
+        object.__setattr__(rior, "_doc", doc)
+    return doc
 
 
 def doc_to_rior(doc: object, registry=None) -> RIOR:
@@ -449,17 +480,88 @@ def doc_to_rior(doc: object, registry=None) -> RIOR:
 
 def _interface(doc: dict, registry) -> TypeDescriptor:
     rt = registry.lookup(doc.get("name")) if registry is not None else None
-    # JSON's 1 equals true, so the strictly boolean keys are also checked by
-    # type: a document the full parse would refuse is never reused.
-    if (
-        rt is not None
-        and doc == rt.descriptor_doc
-        and type(doc["interface"]) is bool
-        and all(type(f["mutable"]) is bool for f in doc["fields"])
-        and all(type(m["network_fault"]) is bool for m in doc["methods"])
-    ):
+    if rt is not None and doc == rt.descriptor_doc and _flags_typed(doc):
         return rt.descriptor
     return doc_to_descriptor(doc)
+
+
+def _flags_typed(iface: dict) -> bool:
+    """Whether an interface document equal to a checked one holds each flag
+    as a boolean. JSON's 1 equals true, so equality alone would let through
+    a document the full parse refuses."""
+    if type(iface["interface"]) is not bool:
+        return False
+    for f in iface["fields"]:
+        if type(f["mutable"]) is not bool:
+            return False
+    for m in iface["methods"]:
+        if type(m["network_fault"]) is not bool:
+            return False
+    return True
+
+
+class Recent(dict):
+    """A dict of its newest ``limit`` entries. ``put`` is the one writer;
+    readers take no lock, as a read is one dict lookup."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+        self._lock = threading.Lock()
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self.pop(key, None)  # so a replaced entry counts as newest
+            self[key] = value
+            if len(self) > self.limit:
+                del self[next(iter(self))]
+
+
+_REFERENCE_KEYS = ("host", "port", "guid", "name", "iface", "cache")  # in emitted order
+
+
+class ReferenceMemo(Recent):
+    """The reference document last accepted for each GUID, with its RIOR.
+
+    A document equal to the remembered one, with an integer port and boolean
+    flags (JSON's 8000 equals 8000.0, and 1 equals true), yields the
+    remembered RIOR unparsed; any other takes the full ``doc_to_rior``.
+    Remembered are only small documents: the six keys in emitted order, no
+    snapshot (whose values equality cannot check either), a registered
+    interface, and a host and name within ``REMEMBERED_TEXT_LIMIT``. Kept
+    with the registry's interface document, such a document is the one
+    ``rior_to_doc`` would build, so the RIOR carries it.
+    """
+
+    def __init__(self, registry):
+        super().__init__(REFERENCE_MEMO_LIMIT)
+        self._registry = registry
+
+    def parse(self, doc: object) -> RIOR:
+        guid = doc.get("guid") if type(doc) is dict else None
+        entry = self.get(guid) if type(guid) is str else None
+        if (
+            entry is not None
+            and entry[0] == doc
+            and type(doc["port"]) is int
+            and _flags_typed(doc["iface"])
+        ):
+            return entry[1]
+        rior = doc_to_rior(doc, self._registry)
+        iface = rior.interface_descriptor
+        rt = self._registry.lookup(iface.type_name)
+        if (
+            rt is not None
+            and rt.descriptor is iface
+            and tuple(doc) == _REFERENCE_KEYS
+            and not rior.cached_field_snapshot
+            and len(rior.endpoint.host) <= REMEMBERED_TEXT_LIMIT
+            and len(rior.service_name or "") <= REMEMBERED_TEXT_LIMIT
+        ):
+            kept = {**doc, "iface": rt.descriptor_doc, "cache": _NO_CACHE}
+            object.__setattr__(rior, "_doc", kept)
+            self.put(guid, (kept, rior))
+        return rior
 
 
 def _text(value: object, what: str, null: bool = False) -> str | None:

@@ -210,6 +210,10 @@ class RIOR:
     document of its value, recorded immediately before the reference was sent.
     """
 
+    # The codec keeps the reference's wire document here once it is built
+    # (``codec.rior_to_doc``). Not a field: equality and repr ignore it.
+    _doc = None
+
     endpoint: Endpoint
     guid: GUID
     service_name: str | None = None

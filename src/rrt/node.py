@@ -81,6 +81,8 @@ class RRTNode:
         self.policy = TransmissionPolicyManager(types=self.types)
         self.services = ServiceRegistry(self.types, guid_source=guid_source)
         self.proxy_cache = remote.ProxyCache()
+        self.references = codec.ReferenceMemo(self.types)
+        self.sent_references = codec.Recent(codec.REFERENCE_MEMO_LIMIT)
         self.http = remote.HttpClient()
         self.fault_log: list[str] = []
         self.decision_observer = None
@@ -190,7 +192,9 @@ class RRTNode:
 
     def deploy(self, obj, interface=None, name: str | None = None) -> RIOR:
         """Expose a live object as a service and return its remote reference,
-        the same one ``/describe`` serves for it, snapshot included."""
+        the same one ``/describe`` serves for it, snapshot included. A node
+        on port 0 that has not started refuses, before it deploys anything."""
+        remote.require_endpoint(self)
         return remote.build_rior(self, self.services.deploy(obj, interface, name))
 
     def get_object_by_name(self, host: str, port: int, name: str):

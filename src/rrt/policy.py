@@ -341,6 +341,12 @@ class TransmissionPolicyManager:
     def _slot_rules(self, key: tuple) -> list[PolicyRule]:
         return sorted(self._rules.get(key, _EMPTY).values(), key=lambda r: r.rule_id)
 
+    @property
+    def rule_table(self) -> dict:
+        """The published rule table. It is never changed in place, so a new
+        object means that a rule changed."""
+        return self._rules
+
     def cached_fields_for(self, type_names: Iterable[str]) -> set[str]:
         """Union of cache-rule field names over several type names."""
         rules = self._rules

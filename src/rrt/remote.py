@@ -3,22 +3,30 @@ resolution, smart-proxy field caching, automatic deployment, and outbound
 method invocation.
 
 Functions here take the owning runtime node as their first argument; a node
-provides `types`, `services`, `policy`, `proxy_cache`, `http`, `endpoint` and
-`config`, plus `handle_network_fault` and `observe_decision` hooks. Every
-outbound request goes through the node's `HttpClient`. A handle serves the
+provides `types`, `services`, `policy`, `proxy_cache`, `references`,
+`sent_references`, `http`, `endpoint` and `config`, plus
+`handle_network_fault` and `observe_decision` hooks. Every outbound request
+goes through the node's `HttpClient`. A handle's class, one per interface
+descriptor, has a method for each interface method. A handle serves the
 accessors of its cached fields from its snapshot; `registry.accessor_of`
 decides which methods those are.
+
+A node keeps the references it sent last, documents included, while its
+rule table and endpoint stay the same, and the reference documents it
+accepted last (`codec.ReferenceMemo`): a repeated reference costs a lookup,
+not a rebuild or a parse. Each table keeps `codec.REFERENCE_MEMO_LIMIT` GUIDs.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import select
 import socket
 import threading
 import time
 import weakref
-from typing import Callable, Sequence
+from typing import Sequence
 from urllib.parse import quote
 
 from . import codec, framing
@@ -38,6 +46,7 @@ from .model import (
     RIOR,
     RemoteProxyBase,
     SEQUENCE_TYPE,
+    TypeDescriptor,
     UNBOUNDED,
     by_value,
 )
@@ -236,20 +245,26 @@ class Handle(RemoteProxyBase):
     """Client-side stand-in for a remote service.
 
     A handle presents exactly the methods of the reference's deployment
-    interface; attribute access on an interface method yields a callable that
-    forwards over the wire. Accessors for cached fields are served from the
-    local snapshot and never touch the network.
+    interface; each is a method of the handle's class that forwards over the
+    wire. ``Handle(rior, node)`` builds an instance of that class, which is
+    made once per interface descriptor. Accessors for cached fields are
+    served from the local snapshot and never touch the network.
     """
+
+    def __new__(cls, rior: RIOR, node):
+        if cls is Handle:
+            iface = rior.interface_descriptor
+            cls = iface.__dict__.get("_handle_class") or _handle_class(iface)
+        return object.__new__(cls)
 
     def __init__(self, rior: RIOR, node):
         self.rior = rior
         self._node = node
         self._cache_lock = threading.Lock()
         # One decoder per field: each field's document numbers its own objects.
-        self.cached_fields: dict[str, object] = {
-            name: value_decoder(node).decode(doc)
-            for name, doc in rior.cached_field_snapshot.items()
-        }
+        self.cached_fields: dict[str, object] = {}
+        for name, doc in rior.cached_field_snapshot.items():
+            self.cached_fields[name] = value_decoder(node).decode(doc)
         # (method, arity) -> (op, field) for the accessors served locally.
         self._accessors: dict[tuple[str, int], tuple[str, str]] = {}
         if self.cached_fields:
@@ -267,12 +282,11 @@ class Handle(RemoteProxyBase):
         return remote_invoke(self._node, self, method, list(args))
 
     def __getattr__(self, name: str):
+        # Reached only for names that are not interface methods.
         try:
             rior = object.__getattribute__(self, "rior")
         except AttributeError:
             raise AttributeError(name) from None
-        if name in rior.interface_descriptor.method_names:
-            return lambda *args: self.invoke(name, args)
         raise AttributeError(
             f"{rior.interface_descriptor.type_name} proxy has no method {name!r}"
         )
@@ -282,6 +296,29 @@ class Handle(RemoteProxyBase):
             f"<Handle {self.interface_name} "
             f"{self.rior.service_name or self.rior.guid.hex} @ {self.rior.endpoint}>"
         )
+
+
+def _handle_class(iface: TypeDescriptor) -> type[Handle]:
+    """Build the handle class of an interface and keep it on its descriptor.
+
+    It adds one forwarding method per interface method name, except names
+    that ``Handle`` already has: those keep their meaning, and such a method
+    is reached through ``invoke``.
+    """
+    methods = {
+        name: _forwarder(name) for name in iface.method_names if not hasattr(Handle, name)
+    }
+    cls = type("Handle", (Handle,), methods)
+    object.__setattr__(iface, "_handle_class", cls)
+    return cls
+
+
+def _forwarder(method: str):
+    def forward(self, *args):
+        return remote_invoke(self._node, self, method, args)
+
+    forward.__name__ = forward.__qualname__ = method
+    return forward
 
 
 class ProxyCache:
@@ -297,15 +334,17 @@ class ProxyCache:
         self._handles: weakref.WeakValueDictionary[GUID, Handle] = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
 
-    def get_or_create(self, guid: GUID, factory: Callable[[], Handle]) -> Handle:
-        handle = self.get(guid)
+    def get_or_create(self, rior: RIOR, node) -> Handle:
+        """The live handle for the reference's GUID, or a new one built from it."""
+        with self._lock:
+            handle = self._handles.get(rior.guid)
         if handle is not None:
             return handle
         # Built unlocked: a handle's snapshot can hold references, which come
         # back here. The first handle published for a GUID is the one kept.
-        handle = factory()
+        handle = Handle(rior, node)
         with self._lock:
-            return self._handles.setdefault(guid, handle)
+            return self._handles.setdefault(rior.guid, handle)
 
     def get(self, guid: GUID) -> Handle | None:
         with self._lock:
@@ -318,12 +357,14 @@ class ProxyCache:
 
 def value_encoder(node) -> codec.MessageEncoder:
     """A fresh encoder for one outgoing message, deploying escaping objects on node."""
-    return codec.MessageEncoder(node.types, lambda obj, sig: auto_deploy(node, obj, sig))
+    return codec.MessageEncoder(node.types, functools.partial(auto_deploy, node))
 
 
 def value_decoder(node) -> codec.MessageDecoder:
     """A fresh decoder for one incoming message, resolving references on node."""
-    return codec.MessageDecoder(node.types, lambda rior: resolve_incoming_rior(node, rior))
+    return codec.MessageDecoder(
+        node.types, functools.partial(resolve_incoming_rior, node), node.references
+    )
 
 
 def resolve_incoming_rior(node, rior: RIOR) -> object:
@@ -338,14 +379,14 @@ def resolve_incoming_rior(node, rior: RIOR) -> object:
         skeleton = node.services.lookup_guid(rior.guid)
         if skeleton is not None:
             return skeleton.service_object
-    return node.proxy_cache.get_or_create(rior.guid, lambda: Handle(rior, node))
+    return node.proxy_cache.get_or_create(rior, node)
 
 
 def get_object_by_name(node, host: str, port: int, name: str) -> object:
     """Fetch a remote service's reference by name or GUID and resolve it."""
     path = f"/describe/{quote(name, safe='')}"
     doc = codec._parse_json(node.http.request(Endpoint(host, port), "GET", path))
-    return resolve_incoming_rior(node, codec.doc_to_rior(doc, node.types))
+    return resolve_incoming_rior(node, node.references.parse(doc))
 
 
 def actual_type_name_of(node, value: object) -> str:
@@ -367,7 +408,7 @@ def actual_type_name_of(node, value: object) -> str:
     return node.types.type_of(value).descriptor.type_name
 
 
-def remote_invoke(node, handle: Handle, method: str, args: list) -> object:
+def remote_invoke(node, handle: Handle, method: str, args: Sequence[object]) -> object:
     """Forward one method call through a handle.
 
     Cached-field accessors are served locally with zero transport calls (a
@@ -437,6 +478,7 @@ def auto_deploy(node, obj: object, signature_type_name: str | None = None) -> RI
     """
     if isinstance(obj, RemoteProxyBase):
         return obj.rior
+    require_endpoint(node)  # before deploying: no reference could name the service
     interface: str | None = None
     if not node.config.concrete_type_always and signature_type_name is not None:
         if node.types.lookup(signature_type_name) is not None:
@@ -469,6 +511,13 @@ def _reusable_deployment(node, obj: object, signature_type_name: str | None):
     return best
 
 
+def require_endpoint(node) -> Endpoint:
+    """The node's endpoint; a node on port 0 that has not started has none."""
+    if node.endpoint is None:
+        raise ConfigError("a node on port 0 has no address until start()")
+    return node.endpoint
+
+
 def build_rior(node, skeleton: Skeleton) -> RIOR:
     """Serialize-time remote reference for a deployed service.
 
@@ -476,24 +525,38 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
     reference goes on the wire: cache-rule field names applicable to the
     service (via its concrete type or its deployment interface, including
     supertypes) that the interface declares, plus the current field values.
-    A node on port 0 that has not started has no address to put in it.
+    The rest is kept in ``node.sent_references`` until a rule or the
+    node's endpoint changes; without cached fields, it is the reference.
     """
-    if node.endpoint is None:
-        raise ConfigError("a node on port 0 has no address until start()")
+    endpoint = node.endpoint or require_endpoint(node)
+    rules = node.policy.rule_table
+    kept = node.sent_references.get(skeleton.guid.value)
+    if kept is None or kept[0] is not rules or kept[1].endpoint is not endpoint:
+        kept = _skeleton_reference(node, skeleton, rules, endpoint)
+        node.sent_references.put(skeleton.guid.value, kept)
+    _, rior, cached = kept
+    if not cached:
+        return rior
+    obj, iface = skeleton.service_object, skeleton.interface_descriptor
+    snapshot = {
+        fname: value_encoder(node).encode(
+            getattr(obj, fname), by_value(UNBOUNDED), iface.field(fname).type_name
+        )
+        for fname in cached
+    }
+    fresh = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface, snapshot)
+    codec.rior_to_doc(fresh, codec.rior_to_doc(rior)["iface"])
+    return fresh
+
+
+def _skeleton_reference(node, skeleton: Skeleton, rules: dict, endpoint: Endpoint) -> tuple:
+    """(rule table, reference without a snapshot, cached field names) for a
+    skeleton. The document of a registered interface is the registry's."""
     iface = skeleton.interface_descriptor
     cached = node.policy.cached_fields_for(
         skeleton.concrete.lineage + node.types.supertype_chain_of(iface.type_name)
     )
-    snapshot: dict[str, object] = {}
-    for fname in sorted(cached & iface.field_names):
-        value = getattr(skeleton.service_object, fname)
-        snapshot[fname] = value_encoder(node).encode(
-            value, by_value(UNBOUNDED), iface.field(fname).type_name
-        )
-    return RIOR(
-        endpoint=node.endpoint,
-        guid=skeleton.guid,
-        service_name=skeleton.service_name,
-        interface_descriptor=iface,
-        cached_field_snapshot=snapshot,
-    )
+    rior = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface)
+    rt = node.types.lookup(iface.type_name)
+    codec.rior_to_doc(rior, rt.descriptor_doc if rt is not None and rt.descriptor is iface else None)
+    return rules, rior, tuple(sorted(cached & iface.field_names))

@@ -98,6 +98,24 @@ class TestServe:
             client.stop()
         assert node.services.lookup("P2P").service_object.peers == []
 
+    def test_unstarted_node_on_port_zero_deploys_nothing(self, node):
+        # The refusal comes before the service is registered: no anonymous
+        # service stays behind, and the name stays free for a later deploy.
+        types = TypeRegistry()
+        register_demo_types(types)
+        client = RRTNode(types=types)
+        try:
+            p2p = client.get_object_by_name(node.endpoint.host, node.endpoint.port, "P2P")
+            with pytest.raises(ConfigError, match="no address until start"):
+                p2p.addPeer(P2PNode(Key("peer")))
+            with pytest.raises(ConfigError, match="no address until start"):
+                client.deploy(P2PNode(Key("k")), "IP2PNode", "Mine")
+            assert client.services.list_skeletons() == []
+            client.start()
+            assert client.deploy(P2PNode(Key("k")), "IP2PNode", "Mine").service_name == "Mine"
+        finally:
+            client.stop()
+
     def test_manifest_and_policy_applied_before_traffic(self, tmp_path):
         manifest = tmp_path / "deploy.json"
         manifest.write_text(
