@@ -6,8 +6,8 @@ Functions here take the owning runtime node as their first argument; a node
 provides `types`, `services`, `policy`, `proxy_cache`, `references`,
 `sent_references`, `http`, `endpoint` and `config`, plus
 `handle_network_fault` and `observe_decision` hooks. Every outbound request
-goes through the node's `HttpClient`. A handle's class, one per interface
-descriptor, has a method for each interface method. A handle serves the
+goes through the node's `HttpClient`. A handle's class, one per set of
+interface method names, has a method for each interface method. A handle serves the
 accessors of its cached fields from its snapshot; `registry.accessor_of`
 decides which methods those are.
 
@@ -46,7 +46,6 @@ from .model import (
     RIOR,
     RemoteProxyBase,
     SEQUENCE_TYPE,
-    TypeDescriptor,
     UNBOUNDED,
     by_value,
 )
@@ -247,14 +246,14 @@ class Handle(RemoteProxyBase):
     A handle presents exactly the methods of the reference's deployment
     interface; each is a method of the handle's class that forwards over the
     wire. ``Handle(rior, node)`` builds an instance of that class, which is
-    made once per interface descriptor. Accessors for cached fields are
+    made once per set of interface method names. Accessors for cached fields are
     served from the local snapshot and never touch the network.
     """
 
     def __new__(cls, rior: RIOR, node):
         if cls is Handle:
-            iface = rior.interface_descriptor
-            cls = iface.__dict__.get("_handle_class") or _handle_class(iface)
+            names = rior.interface_descriptor.method_names
+            cls = _HANDLE_CLASSES.get(names) or _handle_class(names)
         return object.__new__(cls)
 
     def __init__(self, rior: RIOR, node):
@@ -298,18 +297,22 @@ class Handle(RemoteProxyBase):
         )
 
 
-def _handle_class(iface: TypeDescriptor) -> type[Handle]:
-    """Build the handle class of an interface and keep it on its descriptor.
+# Handle classes by interface method names. A class holds nothing of a node
+# or a reference, so interfaces with the same method names share one, parsed
+# apart or not; a peer that sends ever new names cannot grow the table.
+_HANDLE_CLASSES = codec.Recent(codec.REFERENCE_MEMO_LIMIT)
 
-    It adds one forwarding method per interface method name, except names
-    that ``Handle`` already has: those keep their meaning, and such a method
-    is reached through ``invoke``.
+
+def _handle_class(method_names: frozenset[str]) -> type[Handle]:
+    """Build the handle class for a set of interface method names.
+
+    It has one forwarding method per name, except names that ``Handle``
+    already has: those keep their meaning, and such a method is reached
+    through ``invoke``.
     """
-    methods = {
-        name: _forwarder(name) for name in iface.method_names if not hasattr(Handle, name)
-    }
+    methods = {name: _forwarder(name) for name in method_names if not hasattr(Handle, name)}
     cls = type("Handle", (Handle,), methods)
-    object.__setattr__(iface, "_handle_class", cls)
+    _HANDLE_CLASSES.put(method_names, cls)
     return cls
 
 

@@ -12,6 +12,7 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,6 +315,13 @@ class TestHandleClass:
         assert isinstance(handle.getKey(), Handle)  # a Key goes by reference by default
         with pytest.raises(AttributeError, match="IP2PNode proxy has no method 'getLog'"):
             handle.getLog
+        # An interface the receiver has not registered is parsed anew each
+        # time; its handles still share one class.
+        node = RRTNode(types=TypeRegistry())
+        apart = [Handle(RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=iface), node)
+                 for iface in (UNREGISTERED, replace(UNREGISTERED))]
+        assert apart[0].rior.interface_descriptor is not apart[1].rior.interface_descriptor
+        assert type(apart[0]) is type(apart[1])
 
     def test_handle_attributes_keep_their_meaning(self):
         iface = TypeDescriptor(
