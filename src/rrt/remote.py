@@ -246,8 +246,8 @@ class Handle(RemoteProxyBase):
     A handle presents exactly the methods of the reference's deployment
     interface; each is a method of the handle's class that forwards over the
     wire. ``Handle(rior, node)`` builds an instance of that class, which is
-    made once per set of interface method names. Accessors for cached fields are
-    served from the local snapshot and never touch the network.
+    made once per set of interface method names. Accessors for cached
+    fields are served from the local snapshot and never touch the network.
     """
 
     def __new__(cls, rior: RIOR, node):
@@ -561,5 +561,6 @@ def _skeleton_reference(node, skeleton: Skeleton, rules: dict, endpoint: Endpoin
     )
     rior = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface)
     rt = node.types.lookup(iface.type_name)
-    codec.rior_to_doc(rior, rt.descriptor_doc if rt is not None and rt.descriptor is iface else None)
+    registered = rt is not None and rt.descriptor is iface
+    codec.rior_to_doc(rior, rt.descriptor_doc if registered else None)
     return rules, rior, tuple(sorted(cached & iface.field_names))

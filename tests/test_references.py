@@ -94,9 +94,13 @@ class TestOutgoing:
         install_demo_policy(pair.a)
         node_obj = P2PNode(Key("before"))
         skeleton = pair.a.services.deploy(node_obj, "IP2PNode", None)
-        assert build_rior(pair.a, skeleton).cached_field_snapshot["key"]["fields"]["value"]["v"] == "before"
+
+        def sent_key():
+            return build_rior(pair.a, skeleton).cached_field_snapshot["key"]["fields"]["value"]["v"]
+
+        assert sent_key() == "before"
         node_obj.key = Key("after")
-        assert build_rior(pair.a, skeleton).cached_field_snapshot["key"]["fields"]["value"]["v"] == "after"
+        assert sent_key() == "after"
 
     def test_cache_rule_change_shows_in_the_next_emission(self, pair):
         skeleton = pair.a.services.deploy(P2PNode(Key("k")), "IP2PNode", "P2P")
