@@ -13,8 +13,9 @@ most ``MAX_NESTING`` levels deep: past it, encoding raises
 
 The codec is stateless between messages; per-message state (the seen-object
 table, the id counter) is confined to one call. Only documents of immutable
-references outlive a message: each ``RIOR`` keeps its own, and a node's
-``ReferenceMemo`` the ones it accepted last.
+references outlive a message: a ``RIOR`` a node built or accepted keeps its
+own, which every message carrying it shares, and a node's ``ReferenceMemo``
+the ones it accepted last.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ class MessageEncoder:
             )
         else:
             rior = self._deploy_ref(value, signature)
-        return {"k": "ref", "rior": rior_to_doc(rior)}
+        # A reference built or accepted by a node keeps its document (RIOR._doc).
+        return {"k": "ref", "rior": rior._doc or rior_to_doc(rior)}
 
 
 def _check_nesting(nesting: int, error: type[Exception]) -> None:
@@ -427,31 +429,22 @@ def doc_to_descriptor(doc: object) -> TypeDescriptor:
         raise ProtocolError(f"malformed type descriptor: {exc}") from exc
 
 
-# The cache section of every document without a snapshot: documents are shared.
-_NO_CACHE = {"fields": {}, "accessors": []}
-
-
 def rior_to_doc(rior: RIOR, iface_doc: dict | None = None) -> dict:
-    """The reference's wire document, built on first use and kept with it:
-    every message that carries the reference shares it, so no caller may
-    change it. ``iface_doc`` is the interface's document, if already built."""
-    doc = rior._doc
-    if doc is None:
-        # Cache keys are emitted sorted so equal references always yield equal bytes.
-        names = sorted(rior.cached_field_snapshot)
-        doc = {
-            "host": rior.endpoint.host,
-            "port": rior.endpoint.port,
-            "guid": rior.guid.hex,
-            "name": rior.service_name,
-            "iface": iface_doc or descriptor_to_doc(rior.interface_descriptor),
-            "cache": {
-                "fields": {n: rior.cached_field_snapshot[n] for n in names},
-                "accessors": names,
-            } if names else _NO_CACHE,
-        }
-        object.__setattr__(rior, "_doc", doc)
-    return doc
+    """The reference's wire document, built anew. ``iface_doc`` is the
+    interface's document, if already built; the result then shares it."""
+    # Cache keys are emitted sorted so equal references always yield equal bytes.
+    names = sorted(rior.cached_field_snapshot)
+    return {
+        "host": rior.endpoint.host,
+        "port": rior.endpoint.port,
+        "guid": rior.guid.hex,
+        "name": rior.service_name,
+        "iface": iface_doc or descriptor_to_doc(rior.interface_descriptor),
+        "cache": {
+            "fields": {n: rior.cached_field_snapshot[n] for n in names},
+            "accessors": names,
+        },
+    }
 
 
 def doc_to_rior(doc: object, registry=None) -> RIOR:
@@ -517,20 +510,17 @@ class Recent(dict):
                 del self[next(iter(self))]
 
 
-_REFERENCE_KEYS = ("host", "port", "guid", "name", "iface", "cache")  # in emitted order
-
-
 class ReferenceMemo(Recent):
     """The reference document last accepted for each GUID, with its RIOR.
 
     A document equal to the remembered one, with an integer port and boolean
     flags (JSON's 8000 equals 8000.0, and 1 equals true), yields the
     remembered RIOR unparsed; any other takes the full ``doc_to_rior``.
-    Remembered are only small documents: the six keys in emitted order, no
-    snapshot (whose values equality cannot check either), a registered
-    interface, and a host and name within ``REMEMBERED_TEXT_LIMIT``. Kept
-    with the registry's interface document, such a document is the one
-    ``rior_to_doc`` would build, so the RIOR carries it.
+    Remembered are only references without a snapshot (whose values
+    equality cannot check either), of a registered interface, and with a
+    host and name within ``REMEMBERED_TEXT_LIMIT``. What is remembered is
+    the document ``rior_to_doc`` builds with the registry's interface
+    document; the RIOR keeps it to be sent again.
     """
 
     def __init__(self, registry):
@@ -548,19 +538,17 @@ class ReferenceMemo(Recent):
         ):
             return entry[1]
         rior = doc_to_rior(doc, self._registry)
-        iface = rior.interface_descriptor
-        rt = self._registry.lookup(iface.type_name)
+        rt = self._registry.lookup(rior.interface_descriptor.type_name)
         if (
             rt is not None
-            and rt.descriptor is iface
-            and tuple(doc) == _REFERENCE_KEYS
+            and rt.descriptor is rior.interface_descriptor
             and not rior.cached_field_snapshot
             and len(rior.endpoint.host) <= REMEMBERED_TEXT_LIMIT
             and len(rior.service_name or "") <= REMEMBERED_TEXT_LIMIT
         ):
-            kept = {**doc, "iface": rt.descriptor_doc, "cache": _NO_CACHE}
+            kept = rior_to_doc(rior, rt.descriptor_doc)
             object.__setattr__(rior, "_doc", kept)
-            self.put(guid, (kept, rior))
+            self.put(kept["guid"], (kept, rior))
         return rior
 
 

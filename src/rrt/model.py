@@ -210,8 +210,10 @@ class RIOR:
     document of its value, recorded immediately before the reference was sent.
     """
 
-    # The codec keeps the reference's wire document here once it is built
-    # (``codec.rior_to_doc``). Not a field: equality and repr ignore it.
+    # The wire document kept by whoever built or accepted the reference
+    # (``remote.build_rior``, ``codec.ReferenceMemo``); every message that
+    # carries the reference shares it, so no one may change it. Not a field:
+    # equality and repr ignore it.
     _doc = None
 
     endpoint: Endpoint

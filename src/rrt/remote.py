@@ -531,7 +531,7 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
     The rest is kept in ``node.sent_references`` until a rule or the
     node's endpoint changes; without cached fields, it is the reference.
     """
-    endpoint = node.endpoint or require_endpoint(node)
+    endpoint = require_endpoint(node)
     rules = node.policy.rule_table
     kept = node.sent_references.get(skeleton.guid.value)
     if kept is None or kept[0] is not rules or kept[1].endpoint is not endpoint:
@@ -548,7 +548,7 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
         for fname in cached
     }
     fresh = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface, snapshot)
-    codec.rior_to_doc(fresh, codec.rior_to_doc(rior)["iface"])
+    object.__setattr__(fresh, "_doc", codec.rior_to_doc(fresh, rior._doc["iface"]))
     return fresh
 
 
@@ -562,5 +562,6 @@ def _skeleton_reference(node, skeleton: Skeleton, rules: dict, endpoint: Endpoin
     rior = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface)
     rt = node.types.lookup(iface.type_name)
     registered = rt is not None and rt.descriptor is iface
-    codec.rior_to_doc(rior, rt.descriptor_doc if registered else None)
+    doc = codec.rior_to_doc(rior, rt.descriptor_doc if registered else None)
+    object.__setattr__(rior, "_doc", doc)
     return rules, rior, tuple(sorted(cached & iface.field_names))
