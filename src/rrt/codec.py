@@ -230,6 +230,8 @@ def encode_value(
     references, and repeated objects become back-references so aliasing and
     cycles survive. Sequences are transparent containers (copied, elements
     encoded at the enclosing level). Primitives always travel as primitives.
+    A reference's document in the result may be the one the reference keeps
+    for every message (``RIOR._doc``): change a copy of it, not it.
     """
     return MessageEncoder(registry, deploy_ref).encode(value, decision, declared_type)
 
