@@ -15,7 +15,9 @@ The codec is stateless between messages; per-message state (the seen-object
 table, the id counter) is confined to one call. Only documents of immutable
 references outlive a message: a ``RIOR`` a node built or accepted keeps its
 own, which every message carrying it shares, and a node's ``ReferenceMemo``
-the ones it accepted last.
+the ones it accepted last. Such a kept document is serialized once: the
+encoder notes where it sends one, and ``encode_request`` and
+``encode_response`` splice its canonical JSON text into the envelope bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Callable
 
 from .errors import ProtocolError, WireFormatError
@@ -125,6 +128,10 @@ class MessageEncoder:
     first-encounter preorder starting at 0, so an object repeated across
     positions (or within one graph) becomes a back-reference and aliasing
     survives the wire.
+
+    A reference sent from the document its ``RIOR`` keeps is noted, so
+    ``encode_request`` and ``encode_response``, given this encoder, splice
+    in that document's text instead of encoding it again.
     """
 
     def __init__(self, registry, deploy_ref: DeployRef | None = None):
@@ -132,6 +139,7 @@ class MessageEncoder:
         self._deploy_ref = deploy_ref
         self._seen: dict[int, int] = {}  # id(live object) -> wire-object id
         self._open_seqs: set[int] = set()
+        self._kept: list[tuple[dict, RIOR]] = []  # (ref document, RIOR keeping its "rior")
 
     def encode(
         self,
@@ -180,9 +188,15 @@ class MessageEncoder:
                 raise WireFormatError(
                     f"{descriptor.type_name}.{f.name}: live object has no such field"
                 ) from None
-            fields[f.name] = _prim_doc(raw) or self._inline(
-                raw, level + 1, depth, f.type_name, nesting + 1
-            )
+            kind = type(raw)  # the commonest primitives, written as _prim_doc would
+            if kind is str:
+                fields[f.name] = {"k": "prim", "t": "str", "v": raw}
+            elif kind is int and I64_MIN <= raw <= I64_MAX:
+                fields[f.name] = {"k": "prim", "t": "i64", "v": raw}
+            else:
+                fields[f.name] = _prim_doc(raw) or self._inline(
+                    raw, level + 1, depth, f.type_name, nesting + 1
+                )
         return {"k": "obj", "class": descriptor.type_name, "id": oid, "fields": fields}
 
     def _seq(self, value, nesting: int, item: Callable[[object, int], dict]) -> dict:
@@ -205,7 +219,76 @@ class MessageEncoder:
         else:
             rior = self._deploy_ref(value, signature)
         # A reference built or accepted by a node keeps its document (RIOR._doc).
-        return {"k": "ref", "rior": rior._doc or rior_to_doc(rior)}
+        doc = rior._doc
+        if doc is None:
+            return {"k": "ref", "rior": rior_to_doc(rior)}
+        ref = {"k": "ref", "rior": doc}
+        self._kept.append((ref, rior))
+        return ref
+
+    def _message_bytes(self, envelope: dict) -> bytes:
+        """``canonical_bytes(envelope)`` for an envelope made of this encoder's
+        documents, with each kept reference document spliced in as its text.
+
+        The kept documents are swapped for a marker while the rest is
+        encoded, then put back. An envelope with more markers than kept
+        references, or that fails to encode, takes ``canonical_bytes`` whole,
+        so its bytes and errors are that call's.
+        """
+        kept = self._kept
+        if not kept:
+            return canonical_bytes(envelope)
+        for ref, rior in kept:
+            if ref.get("rior") is not rior._doc:  # changed by the caller
+                return canonical_bytes(envelope)
+        try:
+            try:
+                for ref, _ in kept:
+                    ref["rior"] = 0
+                parts = _JSON.encode(envelope).encode("utf-8").split(_MARK)
+            finally:
+                for ref, rior in kept:
+                    ref["rior"] = rior._doc
+            if len(parts) != len(kept) + 1:  # a marker the envelope itself holds
+                return canonical_bytes(envelope)
+            pieces = [parts[0]]
+            for (_, rior), part in zip(kept, parts[1:]):
+                pieces += (b'"rior":', rior._text or self._reference_text(rior), b"}", part)
+        except (ValueError, TypeError, RecursionError, WireFormatError):
+            return canonical_bytes(envelope)  # raises the whole envelope's error
+        return b"".join(pieces)
+
+    def _reference_text(self, rior: RIOR) -> bytes:
+        """The canonical JSON of the RIOR's kept document, built from its parts
+        in ``rior_to_doc``'s key order and kept on the RIOR. Text is escaped as
+        ``_JSON`` escapes it; a registered interface's text is its type's; the
+        cache section is encoded only when it holds a snapshot."""
+        doc = rior._doc
+        port, name, iface, cache = doc["port"], doc["name"], doc["iface"], doc["cache"]
+        head = '{"host":%s,"port":%s,"guid":%s,"name":%s,"iface":' % (
+            encode_basestring(doc["host"]),
+            port if type(port) is int else _JSON.encode(port),
+            encode_basestring(doc["guid"]),
+            "null" if name is None else encode_basestring(name),
+        )
+        rt = self._registry.lookup(iface["name"])
+        text = b"".join((
+            head.encode("utf-8"),
+            rt.descriptor_text if rt is not None and rt.descriptor_doc is iface
+            else canonical_bytes(iface),
+            b',"cache":',
+            canonical_bytes(cache) if cache["accessors"] else _NO_SNAPSHOT_TEXT,
+            b"}",
+        ))
+        object.__setattr__(rior, "_text", text)
+        return text
+
+
+# Stands in for a kept reference document while an envelope is encoded. Inside
+# a JSON string every quote is escaped, so it can only come from a document
+# whose last key is "rior" with the value 0.
+_MARK = b'"rior":0}'
+_NO_SNAPSHOT_TEXT = b'{"fields":{},"accessors":[]}'
 
 
 def _check_nesting(nesting: int, error: type[Exception]) -> None:
@@ -231,7 +314,10 @@ def encode_value(
     cycles survive. Sequences are transparent containers (copied, elements
     encoded at the enclosing level). Primitives always travel as primitives.
     A reference's document in the result may be the one the reference keeps
-    for every message (``RIOR._doc``): change a copy of it, not it.
+    for every message (``RIOR._doc``): change a copy of it, not it. Such a
+    document is serialized once, at its first emission, and its text kept
+    with it (``RIOR._text``); ``encode_request`` and ``encode_response``
+    splice that text in when given the encoder that built their documents.
     """
     return MessageEncoder(registry, deploy_ref).encode(value, decision, declared_type)
 
@@ -308,6 +394,14 @@ class MessageDecoder:
         for fname, fdoc in fields.items():
             if fname not in declared:
                 raise ProtocolError(f"{class_name}: undeclared field {fname!r}")
+            if type(fdoc) is dict and fdoc.get("k") == "prim":
+                # Text and in-range integers, checked as _prim_value checks them.
+                tag, v = fdoc.get("t"), fdoc.get("v")
+                if (tag == "str" and type(v) is str) or (
+                    tag == "i64" and type(v) is int and I64_MIN <= v <= I64_MAX
+                ):
+                    setattr(instance, fname, v)
+                    continue
             setattr(instance, fname, self._decode(fdoc, nesting + 1))
         return instance
 
@@ -355,7 +449,8 @@ def decode_value(
 # -- canonical JSON ----------------------------------------------------------
 
 
-# One encoder for every message: encoding keeps no state in it.
+# One encoder for every message: encoding keeps no state in it. Its text
+# escaping is encode_basestring's, as ensure_ascii is off.
 _JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
 
 
@@ -574,17 +669,17 @@ def _req(doc: dict, key: str, typ: type):
 # -- envelopes ---------------------------------------------------------------
 
 
-def encode_request(req: Request) -> bytes:
-    """The request's bytes; over ``MAX_REQUEST_BYTES`` no node would accept them."""
-    data = canonical_bytes(
-        {
-            "rrt": RRT_VERSION,
-            "target": req.target,
-            "method": req.method,
-            "args": list(req.args),
-            "peer": req.peer_kind,
-        }
-    )
+def encode_request(req: Request, encoder: MessageEncoder | None = None) -> bytes:
+    """The request's bytes; over ``MAX_REQUEST_BYTES`` no node would accept them.
+    ``encoder``, the one that built ``req.args``, splices in its kept references."""
+    doc = {
+        "rrt": RRT_VERSION,
+        "target": req.target,
+        "method": req.method,
+        "args": list(req.args),
+        "peer": req.peer_kind,
+    }
+    data = canonical_bytes(doc) if encoder is None else encoder._message_bytes(doc)
     if len(data) > MAX_REQUEST_BYTES:
         raise WireFormatError(
             f"request of {len(data)} bytes is over the {MAX_REQUEST_BYTES}-byte limit"
@@ -610,9 +705,12 @@ def decode_request(data: bytes) -> Request:
     )
 
 
-def encode_response(resp: Response) -> bytes:
+def encode_response(resp: Response, encoder: MessageEncoder | None = None) -> bytes:
+    """The response's bytes. ``encoder``, the one that built ``resp.result``,
+    splices in its kept references."""
     if resp.ok:
-        return canonical_bytes({"ok": True, "result": resp.result})
+        doc = {"ok": True, "result": resp.result}
+        return canonical_bytes(doc) if encoder is None else encoder._message_bytes(doc)
     return canonical_bytes(
         {
             "ok": False,

@@ -213,8 +213,10 @@ class RIOR:
     # The wire document kept by whoever built or accepted the reference
     # (``remote.build_rior``, ``codec.ReferenceMemo``); every message that
     # carries the reference shares it, so no one may change it. Not a field:
-    # equality and repr ignore it.
+    # equality and repr ignore it. ``_text`` is that document's canonical
+    # JSON, built by ``codec.MessageEncoder`` when it first sends the reference.
     _doc = None
+    _text = None
 
     endpoint: Endpoint
     guid: GUID

@@ -298,8 +298,9 @@ class RRTNode:
             )
             decision = self.policy.resolve(ctx)
             self.observe_decision("return", ctx.actual_type_name, decision)
-            wire = remote.value_encoder(self).encode(result, decision, md.return_type)
-            return codec.encode_response(Response(ok=True, result=wire))
+            encoder = remote.value_encoder(self)
+            wire = encoder.encode(result, decision, md.return_type)
+            return codec.encode_response(Response(ok=True, result=wire), encoder)
         except ApplicationFault as exc:
             fault = Fault("application", exc.fault_class, exc.message)
         except Exception as exc:  # noqa: BLE001 - the endpoint never aborts

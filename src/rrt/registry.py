@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .codec import descriptor_to_doc
+from .codec import canonical_bytes, descriptor_to_doc
 from .errors import (
     ApplicationFault,
     DeploymentError,
@@ -166,6 +166,11 @@ class RegisteredType:
     def descriptor_doc(self) -> dict:
         """The descriptor's wire document, built once per registered type."""
         return descriptor_to_doc(self.descriptor)
+
+    @cached_property
+    def descriptor_text(self) -> bytes:
+        """``descriptor_doc``'s canonical JSON, built once per registered type."""
+        return canonical_bytes(self.descriptor_doc)
 
 
 class TypeRegistry:

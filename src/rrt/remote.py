@@ -452,7 +452,7 @@ def remote_invoke(node, handle: Handle, method: str, args: Sequence[object]) -> 
         wire_args.append(encoder.encode(value, decision, md.params[i]))
 
     target = handle.rior.guid.hex
-    body = codec.encode_request(Request(target, method, wire_args))
+    body = codec.encode_request(Request(target, method, wire_args), encoder)
     try:
         raw = node.http.request(handle.rior.endpoint, "POST", f"/invoke/{target}", body)
     except NetworkFault as fault:

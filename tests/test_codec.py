@@ -116,6 +116,56 @@ class TestPrimitives:
             encode_value(2**63, by_value(), registry=registry)
 
 
+class TestFieldPrimitives:
+    """A primitive in an object's field is written and read as a standalone one."""
+
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    @pytest.mark.parametrize("value", [
+        "", "x", Name("n"), 0, -(2**63), 2**63 - 1, 2**63, -(2**63) - 1, Count(3), True,
+        0.5, None,
+    ])
+    def test_encoded_as_standalone(self, registry, value):
+        def outcome(encode):
+            try:
+                return encode()
+            except WireFormatError as exc:
+                return str(exc)
+
+        standalone = outcome(lambda: encode_value(value, by_value(), registry=registry))
+        in_field = outcome(
+            lambda: encode_value(GNode(tag=value), by_value(), registry=registry)["fields"]["tag"]
+        )
+        assert in_field == standalone
+        if isinstance(standalone, dict) and "v" in standalone:
+            assert type(in_field["v"]) is type(standalone["v"])
+
+    @pytest.mark.parametrize("doc", [
+        prim("str", "x"), prim("str", 5), prim("str", None), {"k": "prim", "t": "str"},
+        prim("i64", 7), prim("i64", 2**63), prim("i64", -(2**63) - 1), prim("i64", True),
+        prim("i64", 1.0), prim("i64", "7"), {"k": "prim", "t": "i64"}, prim("f64", 1),
+        {"k": "prim", "t": "null"}, {"k": "prim", "t": 5, "v": "x"}, {"k": "prim", "v": 1},
+        {"t": "str", "v": "x"}, {"k": "prim ", "t": "str", "v": "x"},
+    ])
+    def test_decoded_as_standalone(self, registry, doc):
+        def outcome(decode):
+            try:
+                value = decode()
+                return type(value), value
+            except ProtocolError as exc:
+                return str(exc)
+
+        standalone = outcome(lambda: decode_value(doc, registry=registry))
+        in_field = outcome(
+            lambda: decode_value(obj_doc("GNode", 0, {"tag": doc}), registry=registry).tag
+        )
+        assert in_field == standalone
+
+
 class TestGraphEncoding:
     def test_two_node_chain_shape(self, registry):
         b = GNode(tag="b")
