@@ -12,12 +12,12 @@ most ``MAX_NESTING`` levels deep: past it, encoding raises
 ``WireFormatError`` and decoding raises ``ProtocolError``.
 
 The codec is stateless between messages; per-message state (the seen-object
-table, the id counter) is confined to one call. Only documents of immutable
-references outlive a message: a ``RIOR`` a node built or accepted keeps its
-own, which every message carrying it shares, and a node's ``ReferenceMemo``
-the ones it accepted last. Such a kept document is serialized once: the
-encoder notes where it sends one, and ``encode_request`` and
-``encode_response`` splice its canonical JSON text into the envelope bytes.
+table, the id counter) is confined to one call. Only a reference's document
+and its canonical JSON text outlive a message: the codec alone builds them,
+each the first time anything needs it, and keeps them on the immutable
+``RIOR``, so every message that carries the reference shares them. The
+encoder notes each reference it sends, and ``encode_request`` and
+``encode_response`` splice its text into the envelope bytes.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class MessageEncoder:
     positions (or within one graph) becomes a back-reference and aliasing
     survives the wire.
 
-    A reference sent from the document its ``RIOR`` keeps is noted, so
+    Each reference is sent as the document its ``RIOR`` keeps and noted, so
     ``encode_request`` and ``encode_response``, given this encoder, splice
     in that document's text instead of encoding it again.
     """
@@ -139,7 +139,7 @@ class MessageEncoder:
         self._deploy_ref = deploy_ref
         self._seen: dict[int, int] = {}  # id(live object) -> wire-object id
         self._open_seqs: set[int] = set()
-        self._kept: list[tuple[dict, RIOR]] = []  # (ref document, RIOR keeping its "rior")
+        self._refs: list[tuple[dict, RIOR]] = []  # (ref document, RIOR keeping its "rior")
 
     def encode(
         self,
@@ -218,52 +218,63 @@ class MessageEncoder:
             )
         else:
             rior = self._deploy_ref(value, signature)
-        # A reference built or accepted by a node keeps its document (RIOR._doc).
-        doc = rior._doc
-        if doc is None:
-            return {"k": "ref", "rior": rior_to_doc(rior)}
-        ref = {"k": "ref", "rior": doc}
-        self._kept.append((ref, rior))
+        ref = {"k": "ref", "rior": rior._doc or _reference_doc(rior, self._registry)}
+        self._refs.append((ref, rior))
         return ref
 
     def _message_bytes(self, envelope: dict) -> bytes:
         """``canonical_bytes(envelope)`` for an envelope made of this encoder's
-        documents, with each kept reference document spliced in as its text.
+        documents, with each reference document spliced in as its text.
 
-        The kept documents are swapped for a marker while the rest is
-        encoded, then put back. An envelope with more markers than kept
+        The reference documents are swapped for a marker while the rest is
+        encoded, then put back. An envelope with more markers than
         references, or that fails to encode, takes ``canonical_bytes`` whole,
         so its bytes and errors are that call's.
         """
-        kept = self._kept
-        if not kept:
+        refs = self._refs
+        if not refs:
             return canonical_bytes(envelope)
-        for ref, rior in kept:
+        for ref, rior in refs:
             if ref.get("rior") is not rior._doc:  # changed by the caller
                 return canonical_bytes(envelope)
         try:
             try:
-                for ref, _ in kept:
+                for ref, _ in refs:
                     ref["rior"] = 0
                 parts = _JSON.encode(envelope).encode("utf-8").split(_MARK)
             finally:
-                for ref, rior in kept:
+                for ref, rior in refs:
                     ref["rior"] = rior._doc
-            if len(parts) != len(kept) + 1:  # a marker the envelope itself holds
+            if len(parts) != len(refs) + 1:  # a marker the envelope itself holds
                 return canonical_bytes(envelope)
             pieces = [parts[0]]
-            for (_, rior), part in zip(kept, parts[1:]):
-                pieces += (b'"rior":', rior._text or self._reference_text(rior), b"}", part)
+            for (_, rior), part in zip(refs, parts[1:]):
+                pieces += (b'"rior":', rior._text or reference_text(rior, self._registry),
+                           b"}", part)
         except (ValueError, TypeError, RecursionError, WireFormatError):
             return canonical_bytes(envelope)  # raises the whole envelope's error
         return b"".join(pieces)
 
-    def _reference_text(self, rior: RIOR) -> bytes:
-        """The canonical JSON of the RIOR's kept document, built from its parts
-        in ``rior_to_doc``'s key order and kept on the RIOR. Text is escaped as
-        ``_JSON`` escapes it; a registered interface's text is its type's; the
-        cache section is encoded only when it holds a snapshot."""
-        doc = rior._doc
+
+def _reference_doc(rior: RIOR, registry) -> dict:
+    """Build the RIOR's wire document and keep it (``RIOR._doc``), for its
+    first use; a registered interface shares the registry's document. Of
+    two threads that build it at once, both get the first one kept."""
+    rt = registry.lookup(rior.interface_descriptor.type_name)
+    registered = rt is not None and rt.descriptor is rior.interface_descriptor
+    doc = rior_to_doc(rior, rt.descriptor_doc if registered else None)
+    return rior.__dict__.setdefault("_doc", doc)
+
+
+def reference_text(rior: RIOR, registry) -> bytes:
+    """The canonical JSON of the RIOR's document, built at its first use from
+    its parts, in ``rior_to_doc``'s key order, and kept on it
+    (``RIOR._text``). Text is escaped as ``_JSON`` escapes it; a registered
+    interface's text is its type's; the cache section is encoded only when
+    it holds a snapshot."""
+    text = rior._text
+    if text is None:
+        doc = rior._doc or _reference_doc(rior, registry)
         port, name, iface, cache = doc["port"], doc["name"], doc["iface"], doc["cache"]
         head = '{"host":%s,"port":%s,"guid":%s,"name":%s,"iface":' % (
             encode_basestring(doc["host"]),
@@ -271,20 +282,19 @@ class MessageEncoder:
             encode_basestring(doc["guid"]),
             "null" if name is None else encode_basestring(name),
         )
-        rt = self._registry.lookup(iface["name"])
-        text = b"".join((
+        rt = registry.lookup(iface["name"])
+        text = rior.__dict__.setdefault("_text", b"".join((
             head.encode("utf-8"),
             rt.descriptor_text if rt is not None and rt.descriptor_doc is iface
             else canonical_bytes(iface),
             b',"cache":',
             canonical_bytes(cache) if cache["accessors"] else _NO_SNAPSHOT_TEXT,
             b"}",
-        ))
-        object.__setattr__(rior, "_text", text)
-        return text
+        )))
+    return text
 
 
-# Stands in for a kept reference document while an envelope is encoded. Inside
+# Stands in for a reference document while an envelope is encoded. Inside
 # a JSON string every quote is escaped, so it can only come from a document
 # whose last key is "rior" with the value 0.
 _MARK = b'"rior":0}'
@@ -313,11 +323,8 @@ def encode_value(
     references, and repeated objects become back-references so aliasing and
     cycles survive. Sequences are transparent containers (copied, elements
     encoded at the enclosing level). Primitives always travel as primitives.
-    A reference's document in the result may be the one the reference keeps
-    for every message (``RIOR._doc``): change a copy of it, not it. Such a
-    document is serialized once, at its first emission, and its text kept
-    with it (``RIOR._text``); ``encode_request`` and ``encode_response``
-    splice that text in when given the encoder that built their documents.
+    A reference's document in the result is the one its RIOR keeps for
+    every message (``RIOR._doc``): change a copy of it, not it.
     """
     return MessageEncoder(registry, deploy_ref).encode(value, decision, declared_type)
 
@@ -608,16 +615,15 @@ class Recent(dict):
 
 
 class ReferenceMemo(Recent):
-    """The reference document last accepted for each GUID, with its RIOR.
+    """The RIOR last accepted for each GUID.
 
-    A document equal to the remembered one, with an integer port and boolean
-    flags (JSON's 8000 equals 8000.0, and 1 equals true), yields the
-    remembered RIOR unparsed; any other takes the full ``doc_to_rior``.
-    Remembered are only references without a snapshot (whose values
-    equality cannot check either), of a registered interface, and with a
-    host and name within ``REMEMBERED_TEXT_LIMIT``. What is remembered is
-    the document ``rior_to_doc`` builds with the registry's interface
-    document; the RIOR keeps it to be sent again.
+    A document equal to the remembered RIOR's own, with an integer port and
+    boolean flags (JSON's 8000 equals 8000.0, and 1 equals true), yields
+    that RIOR unparsed; any other takes the full ``doc_to_rior``. Remembered
+    are only references without a snapshot (whose values equality cannot
+    check either), of a registered interface, and with a host and name
+    within ``REMEMBERED_TEXT_LIMIT``. The RIOR's own document is the one it
+    would send, built at the first repeat or sending, not the one received.
     """
 
     def __init__(self, registry):
@@ -626,14 +632,14 @@ class ReferenceMemo(Recent):
 
     def parse(self, doc: object) -> RIOR:
         guid = doc.get("guid") if type(doc) is dict else None
-        entry = self.get(guid) if type(guid) is str else None
+        kept = self.get(guid) if type(guid) is str else None
         if (
-            entry is not None
-            and entry[0] == doc
+            kept is not None
+            and (kept._doc or _reference_doc(kept, self._registry)) == doc
             and type(doc["port"]) is int
             and _flags_typed(doc["iface"])
         ):
-            return entry[1]
+            return kept
         rior = doc_to_rior(doc, self._registry)
         rt = self._registry.lookup(rior.interface_descriptor.type_name)
         if (
@@ -643,9 +649,7 @@ class ReferenceMemo(Recent):
             and len(rior.endpoint.host) <= REMEMBERED_TEXT_LIMIT
             and len(rior.service_name or "") <= REMEMBERED_TEXT_LIMIT
         ):
-            kept = rior_to_doc(rior, rt.descriptor_doc)
-            object.__setattr__(rior, "_doc", kept)
-            self.put(kept["guid"], (kept, rior))
+            self.put(rior.guid.hex, rior)
         return rior
 
 

@@ -210,11 +210,10 @@ class RIOR:
     document of its value, recorded immediately before the reference was sent.
     """
 
-    # The wire document kept by whoever built or accepted the reference
-    # (``remote.build_rior``, ``codec.ReferenceMemo``); every message that
-    # carries the reference shares it, so no one may change it. Not a field:
-    # equality and repr ignore it. ``_text`` is that document's canonical
-    # JSON, built by ``codec.MessageEncoder`` when it first sends the reference.
+    # The wire document and its canonical JSON, built by the codec alone at
+    # their first use (``codec._reference_doc``, ``codec.reference_text``).
+    # Every message that carries the reference shares them, so no one may
+    # change them. Not fields: equality and repr ignore them.
     _doc = None
     _text = None
 

@@ -246,10 +246,6 @@ class RRTNode:
             )
         return out
 
-    def describe_service(self, name_or_guid: str) -> dict:
-        skeleton = self.services.lookup(name_or_guid)
-        return codec.rior_to_doc(remote.build_rior(self, skeleton))
-
     def browse_html(self) -> str:
         import html  # on first use: a page for people, which most nodes never serve
 
@@ -377,8 +373,10 @@ class _Connection:
             self._send_json(404, {"error": f"no such endpoint: {path}"})
 
     def _describe(self, service_id: str) -> None:
+        node = self.node
         try:
-            self._send_json(200, self.node.describe_service(service_id))
+            rior = remote.build_rior(node, node.services.lookup(service_id))
+            self._send(200, codec.reference_text(rior, node.types), "application/json")
         except ServiceNotFound as exc:
             self._send_json(404, {"error": str(exc)})
         except RRTError as exc:

@@ -11,10 +11,11 @@ interface method names, has a method for each interface method. A handle serves 
 accessors of its cached fields from its snapshot; `registry.accessor_of`
 decides which methods those are.
 
-A node keeps the references it sent last, documents included, while its
-rule table and endpoint stay the same, and the reference documents it
-accepted last (`codec.ReferenceMemo`): a repeated reference costs a lookup,
-not a rebuild or a parse. Each table keeps `codec.REFERENCE_MEMO_LIMIT` GUIDs.
+A node keeps the references it sent last, while its rule table and
+endpoint stay the same, and the references it accepted last
+(`codec.ReferenceMemo`): a repeated reference costs a lookup, not a rebuild
+or a parse. Each table keeps `codec.REFERENCE_MEMO_LIMIT` GUIDs. A
+reference's document and text are the codec's, built at their first use.
 """
 
 from __future__ import annotations
@@ -529,7 +530,8 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
     service (via its concrete type or its deployment interface, including
     supertypes) that the interface declares, plus the current field values.
     The rest is kept in ``node.sent_references`` until a rule or the
-    node's endpoint changes; without cached fields, it is the reference.
+    node's endpoint changes; without cached fields, it is the reference, so
+    the document and text the codec keeps on it serve every emission.
     """
     endpoint = require_endpoint(node)
     rules = node.policy.rule_table
@@ -547,21 +549,15 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
         )
         for fname in cached
     }
-    fresh = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface, snapshot)
-    object.__setattr__(fresh, "_doc", codec.rior_to_doc(fresh, rior._doc["iface"]))
-    return fresh
+    return RIOR(endpoint, skeleton.guid, skeleton.service_name, iface, snapshot)
 
 
 def _skeleton_reference(node, skeleton: Skeleton, rules: dict, endpoint: Endpoint) -> tuple:
     """(rule table, reference without a snapshot, cached field names) for a
-    skeleton. The document of a registered interface is the registry's."""
+    skeleton."""
     iface = skeleton.interface_descriptor
     cached = node.policy.cached_fields_for(
         skeleton.concrete.lineage + node.types.supertype_chain_of(iface.type_name)
     )
     rior = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface)
-    rt = node.types.lookup(iface.type_name)
-    registered = rt is not None and rt.descriptor is iface
-    doc = codec.rior_to_doc(rior, rt.descriptor_doc if registered else None)
-    object.__setattr__(rior, "_doc", doc)
     return rules, rior, tuple(sorted(cached & iface.field_names))

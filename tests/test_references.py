@@ -114,7 +114,9 @@ class TestOutgoing:
             before = wire_bytes(rior)
             registered = pair.a.types.lookup(skeleton.interface_descriptor.type_name)
             registered_doc = copy.deepcopy(registered.descriptor_doc)
-            for doc in (rior_to_doc(rior), pair.a.describe_service(skeleton.guid.hex)):
+            described = pair.b.http.request(
+                pair.a.endpoint, "GET", f"/describe/{skeleton.guid.hex}")
+            for doc in (rior_to_doc(rior), json.loads(described)):
                 doc["port"] = 1
                 doc["iface"]["interface"] = 0
                 doc["cache"]["accessors"].append("x")

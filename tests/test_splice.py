@@ -70,7 +70,7 @@ def received_doc(node: RRTNode, host: str = "127.0.0.1", name: str | None = "P2P
 
 def kept_reference(node: RRTNode, host: str = "127.0.0.1", name: str | None = "P2P") -> RIOR:
     rior = node.references.parse(received_doc(node, host, name))
-    assert rior._doc is not None
+    assert node.references.get(rior.guid.hex) is rior
     return rior
 
 
@@ -264,13 +264,13 @@ def test_documents_are_left_as_they_were(node):
 
 def test_text_is_built_once_and_again_after_a_rule_change(node, monkeypatch):
     built = []
-    original = MessageEncoder._reference_text
+    original = codec.reference_text
 
-    def counting(self, rior):
+    def counting(rior, registry):
         built.append(rior)
-        return original(self, rior)
+        return original(rior, registry)
 
-    monkeypatch.setattr(MessageEncoder, "_reference_text", counting)
+    monkeypatch.setattr(codec, "reference_text", counting)
     skeleton = node.services.deploy(Message("m"), None, "msg")
 
     def emit():
