@@ -193,9 +193,10 @@ class RRTNode:
     def deploy(self, obj, interface=None, name: str | None = None) -> RIOR:
         """Expose a live object as a service and return its remote reference,
         the same one ``/describe`` serves for it, snapshot included. A node
-        on port 0 that has not started refuses, before it deploys anything."""
+        on port 0 that has not started refuses, before it deploys anything;
+        a service whose reference cannot be built is not kept."""
         remote.require_endpoint(self)
-        return remote.build_rior(self, self.services.deploy(obj, interface, name))
+        return remote.first_reference(self, self.services.deploy(obj, interface, name))
 
     def get_object_by_name(self, host: str, port: int, name: str):
         return remote.get_object_by_name(self, host, port, name)

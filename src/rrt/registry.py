@@ -388,7 +388,7 @@ class ServiceRegistry:
             return list(self._by_object.get(id(obj), ()))
 
     def undeploy(self, name_or_guid: str) -> None:
-        """Tear a service down. Test hygiene only; GUIDs are never reused."""
+        """Tear a service down; GUIDs are never reused."""
         with self.lock:
             sk = self.lookup(name_or_guid)
             del self._by_guid[sk.guid]

@@ -39,6 +39,7 @@ from .errors import (
     ProtocolError,
     ServiceNotFound,
     UnknownMethodError,
+    WireFormatError,
 )
 from .model import (
     GUID,
@@ -490,10 +491,9 @@ def auto_deploy(node, obj: object, signature_type_name: str | None = None) -> RI
     # Choosing and deploying is one step, or two threads passing one fresh
     # object both deploy it and a peer gets two GUIDs for it.
     with node.services.lock:
-        skeleton = _reusable_deployment(node, obj, signature_type_name)
-        if skeleton is None:
-            skeleton = node.services.deploy(obj, interface, None)
-    return build_rior(node, skeleton)
+        reused = _reusable_deployment(node, obj, signature_type_name)
+        skeleton = reused or node.services.deploy(obj, interface, None)
+    return build_rior(node, skeleton) if skeleton is reused else first_reference(node, skeleton)
 
 
 def _reusable_deployment(node, obj: object, signature_type_name: str | None):
@@ -522,6 +522,16 @@ def require_endpoint(node) -> Endpoint:
     return node.endpoint
 
 
+def first_reference(node, skeleton: Skeleton) -> RIOR:
+    """``build_rior`` for a service just deployed. A service whose reference
+    cannot be built is undeployed again, so the failed deploy leaves none."""
+    try:
+        return build_rior(node, skeleton)
+    except Exception:
+        node.services.undeploy(skeleton.guid.hex)
+        raise
+
+
 def build_rior(node, skeleton: Skeleton) -> RIOR:
     """Serialize-time remote reference for a deployed service.
 
@@ -543,12 +553,18 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
     if not cached:
         return rior
     obj, iface = skeleton.service_object, skeleton.interface_descriptor
-    snapshot = {
-        fname: value_encoder(node).encode(
-            getattr(obj, fname), by_value(UNBOUNDED), iface.field(fname).type_name
+    snapshot = {}
+    for fname in cached:
+        try:
+            value = getattr(obj, fname)
+        except AttributeError:
+            raise WireFormatError(
+                f"{skeleton.concrete.descriptor.type_name}.{fname}: "
+                "live object has no such field"
+            ) from None
+        snapshot[fname] = value_encoder(node).encode(
+            value, by_value(UNBOUNDED), iface.field(fname).type_name
         )
-        for fname in cached
-    }
     return RIOR(endpoint, skeleton.guid, skeleton.service_name, iface, snapshot)
 
 

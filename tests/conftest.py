@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import sys
 import threading
 import time
+import traceback
+from types import SimpleNamespace
 
 import pytest
 
+import rrt.node
 from rrt.node import NodeConfig, RRTNode, serve
 from rrt.registry import TypeRegistry
 from rrt.toolkit import LocalPair, register_demo_types
@@ -21,11 +25,38 @@ ACCEPTANCE_LABELS = {
 }
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "connection_error: the test makes a node's connection thread fail"
+    )
+
+
 @pytest.fixture(autouse=True)
-def no_node_thread_outlives_its_test():
+def no_unexpected_connection_error(request, monkeypatch):
+    """Fail a test during which a node's connection thread ended on an
+    exception other than ``OSError``, unless the test is marked
+    ``connection_error``. ``RRTNode._serve`` prints such an exception's
+    traceback and closes that connection; this fixture also notes it.
+    Torn down after ``no_node_thread_outlives_its_test``, once the test's
+    node threads have ended."""
+    failures = []
+
+    def print_exc(*args, **kwargs):
+        failures.append(repr(sys.exc_info()[1]))
+        traceback.print_exc(*args, **kwargs)
+
+    monkeypatch.setattr(rrt.node, "traceback", SimpleNamespace(print_exc=print_exc))
+    yield
+    if failures and request.node.get_closest_marker("connection_error") is None:
+        pytest.fail(f"a node's connection thread failed: {failures}")
+
+
+@pytest.fixture(autouse=True)
+def no_node_thread_outlives_its_test(no_unexpected_connection_error):
     """Fail a test when a node thread it started is alive 1 s after its nodes
     stopped. A node's accept thread and connection threads are named
-    ``rrt-node-<port>...``; this fixture is torn down after the test's others."""
+    ``rrt-node-<port>...``; this fixture is torn down after the test's others
+    but ``no_unexpected_connection_error``."""
     before = set(threading.enumerate())
     yield
     deadline = time.monotonic() + 1.0

@@ -27,7 +27,7 @@ from rrt.codec import Request, encode_request
 from rrt.framing import MAX_HEADERS, MAX_LINE
 from rrt.node import MAX_CONNECTIONS, MAX_REQUEST_BYTES, NodeConfig, serve
 from rrt.registry import TypeRegistry
-from rrt.toolkit.demo import Key, P2PNode, register_demo_types
+from rrt.toolkit.demo import Key, P2PNode, install_demo_policy, register_demo_types
 
 FIXTURE = Path(__file__).parent / "data" / "http_v1.json"
 PINNED_HEADERS = ("Content-Type", "Content-Length", "Connection")
@@ -267,6 +267,26 @@ def test_stop_closes_idle_connections_at_once(node_factory):
         assert time.monotonic() - start < 0.5
 
 
+@pytest.mark.parametrize("fault", ["missing field", "NaN"])
+def test_unencodable_description_is_a_500_on_an_open_connection(node_factory, fault):
+    node = node_factory()
+    install_demo_policy(node)  # the reference carries the key's value
+    obj = P2PNode(Key("k"))
+    node.deploy(obj, "IP2PNode", "P2P")
+    if fault == "NaN":
+        obj.key = Key(float("nan"))
+        error = "value not representable in JSON: "
+    else:
+        del obj.key
+        error = "P2PNode.key: live object has no such field"
+    port = node.endpoint.port
+    failed, listed = replies(exchange(port, get("/describe/P2P") + get("/services")), port)
+    assert failed["status"] == "HTTP/1.1 500" and "Connection" not in failed["headers"]
+    assert json.loads(failed["body"])["error"].startswith(error)
+    assert listed["status"] == "HTTP/1.1 200"
+
+
+@pytest.mark.connection_error
 def test_unexpected_error_closes_only_its_connection(node_factory, capsys):
     node = node_factory()
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from rrt.codec import Request, canonical_bytes, decode_response, encode_request, rior_to_doc
-from rrt.errors import ConfigError, DeploymentError, NetworkFault
+from rrt.errors import ConfigError, DeploymentError, NetworkFault, WireFormatError
 from rrt.model import MethodDescriptor, PolicyKind, TypeDescriptor
 from rrt.node import FAULT_LOG_LIMIT, MAX_REQUEST_BYTES, NodeConfig, RRTNode, serve
 from rrt.registry import MethodTable, TypeRegistry
@@ -115,6 +115,36 @@ class TestServe:
             assert client.deploy(P2PNode(Key("k")), "IP2PNode", "Mine").service_name == "Mine"
         finally:
             client.stop()
+
+    def test_deploy_of_an_object_without_its_cached_field_keeps_no_service(self, node):
+        install_demo_policy(node)  # a P2PNode's references carry its key
+        obj = P2PNode(Key("k"))
+        del obj.key
+        before = node.services.list_skeletons()
+        with pytest.raises(WireFormatError, match=r"^P2PNode\.key: live object has no such field$"):
+            node.deploy(obj, "IP2PNode", "Keyless")
+        assert node.services.list_skeletons() == before
+        obj.key = Key("k")
+        assert node.deploy(obj, "IP2PNode", "Keyless").service_name == "Keyless"
+
+    def test_object_without_its_cached_field_is_not_passed_by_reference(
+        self, node, node_factory
+    ):
+        client = node_factory()
+        install_demo_policy(client)
+        p2p = client.get_object_by_name(node.endpoint.host, node.endpoint.port, "P2P")
+        obj = P2PNode(Key("k"))
+        del obj.key
+        with pytest.raises(WireFormatError, match="P2PNode.key: live object has no such field"):
+            p2p.addPeer(obj)
+        assert client.services.list_skeletons() == []  # no anonymous service stays
+        obj.key = Key("k")
+        mine = client.services.deploy(obj, "IP2PNode", "Mine")
+        del obj.key
+        with pytest.raises(WireFormatError, match="P2PNode.key: live object has no such field"):
+            p2p.addPeer(obj)
+        assert client.services.list_skeletons() == [mine]  # a reused deployment stays
+        assert node.services.lookup("P2P").service_object.peers == []
 
     def test_manifest_and_policy_applied_before_traffic(self, tmp_path):
         manifest = tmp_path / "deploy.json"
@@ -414,6 +444,20 @@ class TestDescribeAndBrowse:
                 assert status == 200 and json.loads(raw)["guid"] == rior.guid.hex, route
             status, raw = http_post(n, "/invoke" + path, encode_request(Request(name, "getKey")))
             assert status == 200 and decode_response(raw).ok, name
+
+    @pytest.mark.parametrize("snapshot", [False, True])
+    def test_describe_serves_the_bytes_an_invoke_reply_carries(self, node, snapshot):
+        if snapshot:
+            node.policy.set_field_to_be_cached("Key", "value")
+        # getKey answers an rrt peer with a reference to the node's key.
+        request = encode_request(Request("P2P", "getKey", (), peer_kind="rrt"))
+        status, raw = http_post(node, "/invoke/P2P", request)
+        head = b'{"ok":true,"result":{"k":"ref","rior":'
+        assert status == 200 and raw.startswith(head) and raw.endswith(b"}}")
+        sent = raw[len(head):-2]
+        assert ("value" in json.loads(sent)["cache"]["fields"]) is snapshot
+        status, described, _ = http_get(node, f"/describe/{json.loads(sent)['guid']}")
+        assert status == 200 and described == sent
 
     def test_describe_unknown_404(self, node):
         status, raw, _ = http_get(node, "/describe/ghost")

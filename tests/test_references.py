@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rrt
+from rrt import codec
 from rrt.codec import (
     REFERENCE_MEMO_LIMIT,
     REMEMBERED_TEXT_LIMIT,
@@ -41,7 +42,14 @@ from rrt.node import RRTNode
 from rrt.registry import MethodTable, TypeRegistry
 from rrt.remote import Handle, build_rior, value_decoder
 from rrt.toolkit import LocalPair
-from rrt.toolkit.demo import Key, Message, P2PNode, install_demo_policy, register_demo_types
+from rrt.toolkit.demo import (
+    Key,
+    Message,
+    P2PNode,
+    deliver,
+    install_demo_policy,
+    register_demo_types,
+)
 
 
 class Sent(RemoteProxyBase):
@@ -491,3 +499,24 @@ def test_calls_per_echo_stay_within_bounds():
     server_calls = min(s for _, s in per_echo)
     assert client_calls <= CLIENT_CALLS_PER_ECHO, per_echo
     assert server_calls <= SERVER_CALLS_PER_ECHO, per_echo
+
+
+def test_by_reference_deliver_builds_no_document_on_the_server(pair, monkeypatch):
+    """A reference the server accepts once and never sends on costs it no
+    document: the memo keeps the RIOR, whose document waits for a repeat."""
+    server, client = pair.a, pair.b
+    install_demo_policy(client)  # the Key goes by value, the Message by reference
+    server.deploy(P2PNode(Key("k")), "IP2PNode", "P2P")
+    p2p = client.get_object_by_name(server.endpoint.host, server.endpoint.port, "P2P")
+    on_main = []  # per document built: whether the client's thread built it
+    original = codec.rior_to_doc
+
+    def counting(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return original(*args)
+
+    monkeypatch.setattr(codec, "rior_to_doc", counting)
+    for _ in range(5):  # a fresh Message each time, so a fresh service
+        deliver(client, p2p, Key("dest"), Message("x" * 2000))
+    assert len(server.services.lookup("P2P").service_object._log) == 5
+    assert on_main == [True] * 5  # the client builds each document to send it

@@ -1,21 +1,38 @@
-"""Kept references serialized once: an envelope carrying a reference sent
-from the document its RIOR keeps gets that document's text spliced in, and
-its bytes and errors are those of encoding the whole envelope."""
+"""References serialized once: an envelope carrying a reference gets the
+text of the document its RIOR keeps spliced in, and its bytes and errors are
+those of encoding the whole envelope."""
 
 from __future__ import annotations
 
 import copy
 import json
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rrt
 from rrt import codec
-from rrt.codec import MessageEncoder, Request, Response, encode_request, encode_response
+from rrt.codec import (
+    REMEMBERED_TEXT_LIMIT,
+    MessageEncoder,
+    Request,
+    Response,
+    encode_request,
+    encode_response,
+    encode_value,
+)
 from rrt.errors import WireFormatError
-from rrt.model import RIOR, Endpoint, FieldDescriptor, RemoteProxyBase, TypeDescriptor, guid_new
+from rrt.model import (
+    RIOR,
+    Endpoint,
+    FieldDescriptor,
+    MethodDescriptor,
+    RemoteProxyBase,
+    TypeDescriptor,
+    guid_new,
+)
 from rrt.node import NodeConfig, RRTNode
 from rrt.registry import TypeRegistry
 from rrt.remote import build_rior, value_encoder
@@ -48,6 +65,12 @@ class Holder:
 HOLDER_TYPE = TypeDescriptor(
     "Holder", fields=(FieldDescriptor("rior", "i64"), FieldDescriptor("ref", "Message"))
 )
+ELSEWHERE = TypeDescriptor(  # an interface the node has not registered
+    "Elsewhere",
+    fields=(FieldDescriptor("n", "i64"),),
+    methods=(MethodDescriptor("ping", ("string",), "bool"),),
+    is_interface=True,
+)
 
 
 def make_node() -> RRTNode:
@@ -72,6 +95,23 @@ def kept_reference(node: RRTNode, host: str = "127.0.0.1", name: str | None = "P
     rior = node.references.parse(received_doc(node, host, name))
     assert node.references.get(rior.guid.hex) is rior
     return rior
+
+
+def unkept_references(node: RRTNode, host: str = "127.0.0.1", name: str | None = "P2P",
+                      text: str = "k") -> list[RIOR]:
+    """References the node does not remember: accepted with a snapshot, with
+    an interface it has not registered or with a name over
+    ``REMEMBERED_TEXT_LIMIT``, and one the application built."""
+    key = encode_value(Key(text), rrt.by_value(), registry=node.types, declared_type="Key")
+    docs = [
+        {**received_doc(node, host, name), "cache": {"fields": {"key": key}, "accessors": ["key"]}},
+        codec.rior_to_doc(RIOR(Endpoint(host, 1), guid_new(), name, ELSEWHERE)),
+        received_doc(node, host, "n" * (REMEMBERED_TEXT_LIMIT + 1)),
+    ]
+    riors = [node.references.parse(doc) for doc in docs]
+    assert not any(node.references.get(rior.guid.hex) for rior in riors)
+    iface = node.types.lookup("IP2PNode").descriptor
+    return riors + [RIOR(Endpoint(host, 8000), guid_new(), name, iface)]
 
 
 def outcome(encode, message):
@@ -168,6 +208,8 @@ def test_spliced_envelopes_match_the_whole_encoding(seed):
     odd = node.references.parse({**received_doc(node), "cache": {
         "fields": {"key": {"rior": 0}}, "accessors": ["key"]}})
     received.append(Sent(odd))
+    received += map(Sent, unkept_references(
+        node, rnd.choice(HOSTS), rnd.choice(NAMES), rnd.choice(TEXTS)))
     for _ in range(3):  # kept references are reused across messages
         encoder = value_encoder(node)
         args = [encoder.encode(gen_graph(rnd, received), rnd.choice(DECISIONS))
@@ -181,6 +223,45 @@ def test_spliced_envelopes_match_the_whole_encoding(seed):
 
 
 # -- edge cases --------------------------------------------------------------------
+
+
+def test_references_the_node_does_not_remember_are_spliced(node):
+    riors = unkept_references(node)
+    encoder = value_encoder(node)
+    args = [encoder.encode(Sent(rior), rrt.by_reference()) for rior in riors]
+    spliced, whole, fell_back = request_outcomes(encoder, args)
+    assert spliced == whole and not fell_back
+    assert all(rior._text is not None and spliced.count(rior._text) == 1 for rior in riors)
+
+
+def test_threads_sending_a_fresh_reference_at_once_keep_one_document(node, monkeypatch):
+    rior = RIOR(Endpoint("127.0.0.1", 8000), guid_new(), "P2P",
+                node.types.lookup("IP2PNode").descriptor)
+    both_built = threading.Barrier(2, timeout=5)
+    original = codec.rior_to_doc
+
+    def racing(*args):
+        doc = original(*args)
+        both_built.wait()  # neither thread keeps its document before both built one
+        return doc
+
+    monkeypatch.setattr(codec, "rior_to_doc", racing)
+    encoders = [value_encoder(node), value_encoder(node)]
+    docs: list = [None, None]
+
+    def emit(i: int) -> None:
+        docs[i] = encoders[i].encode(Sent(rior), rrt.by_reference())
+
+    threads = [threading.Thread(target=emit, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert docs[0]["rior"] is docs[1]["rior"] is rior._doc
+    for encoder, doc in zip(encoders, docs):
+        spliced, whole, fell_back = request_outcomes(encoder, [doc])
+        assert spliced == whole and not fell_back
 
 
 def test_field_named_rior_and_marker_text_are_spliced_around(node):
