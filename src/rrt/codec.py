@@ -263,7 +263,7 @@ def _reference_doc(rior: RIOR, registry) -> dict:
     rt = registry.lookup(rior.interface_descriptor.type_name)
     registered = rt is not None and rt.descriptor is rior.interface_descriptor
     doc = rior_to_doc(rior, rt.descriptor_doc if registered else None)
-    return rior.__dict__.setdefault("_doc", doc)
+    return _keep(rior, "_doc", doc)
 
 
 def reference_text(rior: RIOR, registry) -> bytes:
@@ -283,7 +283,7 @@ def reference_text(rior: RIOR, registry) -> bytes:
             "null" if name is None else encode_basestring(name),
         )
         rt = registry.lookup(iface["name"])
-        text = rior.__dict__.setdefault("_text", b"".join((
+        text = _keep(rior, "_text", b"".join((
             head.encode("utf-8"),
             rt.descriptor_text if rt is not None and rt.descriptor_doc is iface
             else canonical_bytes(iface),
@@ -292,6 +292,21 @@ def reference_text(rior: RIOR, registry) -> bytes:
             b"}",
         )))
     return text
+
+
+_KEEP_LOCK = threading.Lock()
+
+
+def _keep(rior: RIOR, name: str, value):
+    """Publish a value on the RIOR once and return the one kept. Set with
+    ``object.__setattr__``, not through ``rior.__dict__``, so that CPython
+    keeps the RIOR's attribute values inline, where reads are faster."""
+    with _KEEP_LOCK:
+        kept = getattr(rior, name)
+        if kept is None:
+            object.__setattr__(rior, name, value)
+            kept = value
+    return kept
 
 
 # Stands in for a reference document while an envelope is encoded. Inside

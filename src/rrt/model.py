@@ -194,6 +194,9 @@ class TypeDescriptor:
         object.__setattr__(self, "_fields", fields)
         object.__setattr__(self, "method_names", frozenset(m.name for m in self.methods))
         object.__setattr__(self, "field_names", frozenset(fields))
+        # Call plans by (name, arity), each built by ``registry.call_plan`` at
+        # the method's first call. Not a field either.
+        object.__setattr__(self, "plans", {})
 
     def find_method(self, name: str, arity: int) -> MethodDescriptor | None:
         return self._methods.get((name, arity))

@@ -12,7 +12,11 @@ A node binds one TCP port and serves four endpoints:
     POST /invoke/<id>       remote method invocation
 
 Every HTTP request receives exactly one response; a malformed invocation
-produces a structured protocol fault, never a connection abort. Connections
+produces a structured protocol fault, never a connection abort. An
+invocation looks its method up once, in the interface's call plan
+(``registry.call_plan``), which dispatch and the return value's encoding
+share; the return value's transmission decision is kept per published rule
+table (``TransmissionPolicyManager.decide``). Connections
 are HTTP/1.1 keep-alive, served by one thread each that reads each request
 head with ``framing.read_head``, the reader the client reads replies with
 (RFC 9112). A request the node will not serve (a malformed or
@@ -43,8 +47,8 @@ from .errors import (
 )
 from .framing import IDLE_TIMEOUT, FramingError
 from .model import Endpoint, GuidSource, MethodDescriptor, RIOR, TransmissionDecision
-from .policy import CallContext, CallRole, PeerKind, TransmissionPolicyManager
-from .registry import ServiceRegistry, TypeRegistry, invoke_local
+from .policy import TransmissionPolicyManager
+from .registry import ServiceRegistry, TypeRegistry, call_plan, invoke_local
 
 DEFAULT_PORT = 8000
 MAX_CONNECTIONS = 64  # open connections per node; more are closed at accept
@@ -283,20 +287,15 @@ class RRTNode:
             request = codec.decode_request(body)
             skeleton = self.services.lookup(service_id)
             decoder = remote.value_decoder(self)
-            args = [decoder.decode(w) for w in request.args]
-            result = invoke_local(skeleton, request.method, args)
-            md = skeleton.interface_descriptor.find_method(request.method, len(args))
-            ctx = CallContext(
-                role=CallRole.RETURN_VALUE,
-                declared_type_name=skeleton.interface_descriptor.type_name,
-                method_name=request.method,
-                actual_type_name=remote.actual_type_name_of(self, result),
-                peer_kind=PeerKind(request.peer_kind),
-            )
-            decision = self.policy.resolve(ctx)
-            self.observe_decision("return", ctx.actual_type_name, decision)
+            args = list(map(decoder.decode, request.args))
+            iface, method = skeleton.interface_descriptor, request.method
+            plan = iface.plans.get((method, len(args))) or call_plan(iface, method, len(args))
+            result = invoke_local(skeleton, method, args, plan)
+            actual = remote.actual_type_name_of(self, result)
+            decision = self.policy.decide(iface.type_name, method, None, actual, request.peer_kind)
+            self.observe_decision("return", actual, decision)
             encoder = remote.value_encoder(self)
-            wire = encoder.encode(result, decision, md.return_type)
+            wire = encoder.encode(result, decision, plan.method.return_type)
             return codec.encode_response(Response(ok=True, result=wire), encoder)
         except ApplicationFault as exc:
             fault = Fault("application", exc.fault_class, exc.message)

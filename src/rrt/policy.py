@@ -17,6 +17,12 @@ Class rules match the actual class of the transmitted value, walking its
 supertype chain when the rule opts into subtypes; method, return and
 parameter rules key on the declared method's owning interface. Primitive
 values always travel by value, whatever the rules say.
+
+``resolve`` is the one decision function. Calls go through ``decide``,
+which keeps each decision with the published rule table it was made under,
+so a value position is resolved once per table. A position whose type
+names are not registered, or whose parameter slot the calling thread has
+overlaid (``scoped_param_policy``), is resolved afresh on every call.
 """
 
 from __future__ import annotations
@@ -200,6 +206,8 @@ class TransmissionPolicyManager:
         self._rules: dict[tuple, dict] = {}
         self._next_id = 0
         self._lock = threading.Lock()  # writers and the rule-id counter only
+        # (published table, decisions made under it), replaced with the table.
+        self._memo: tuple[dict, dict] = (self._rules, {})
 
     # -- rule installation ---------------------------------------------------
 
@@ -402,12 +410,59 @@ class TransmissionPolicyManager:
 
     # -- resolution ------------------------------------------------------------
 
-    def resolve(self, context: CallContext) -> TransmissionDecision:
-        """Decide how one value crosses the wire. Total: always returns a decision."""
+    def decide(
+        self,
+        declared_type_name: str,
+        method_name: str,
+        param_index: int | None,
+        actual_type_name: str,
+        peer: str,
+    ) -> TransmissionDecision:
+        """``resolve`` of one value position, kept per published rule table.
+
+        ``param_index`` is None for the return value, and ``peer`` is a
+        ``PeerKind`` value. A decision is kept only when both type names are
+        registered: a registered type's supertype chain never changes, and
+        the registry bounds what is kept. A name not registered, and a thread
+        with an overlay on this parameter slot, resolve afresh. Callers pass
+        only methods and parameters that the declared interface has.
+        """
+        if actual_type_name in _ALWAYS_BY_VALUE:
+            return _BY_VALUE
+        rules = self._rules  # the table that decides, and the one it is kept for
+        memo = self._memo
+        if memo[0] is not rules:
+            memo = self._memo = (rules, {})
+        key = (declared_type_name, method_name, param_index, actual_type_name, peer)
+        overlays = _PARAM_OVERLAY.get()
+        overlaid = bool(overlays) and param_index is not None and (
+            (self, (RuleKind.PARAM, declared_type_name, method_name, param_index)) in overlays
+        )
+        if not overlaid:
+            decision = memo[1].get(key)
+            if decision is not None:
+                return decision
+        role = CallRole.RETURN_VALUE if param_index is None else CallRole.ARGUMENT
+        context = CallContext(
+            role, declared_type_name, method_name, actual_type_name, PeerKind(peer), param_index
+        )
+        decision = self.resolve(context, rules)
+        types = self._types
+        if not overlaid and (
+            types.lookup(declared_type_name) is not None
+            and types.lookup(actual_type_name) is not None
+        ):
+            memo[1][key] = decision
+        return decision
+
+    def resolve(self, context: CallContext, rules: dict | None = None) -> TransmissionDecision:
+        """Decide how one value crosses the wire under one rule table, the
+        published one by default. Total: always returns a decision."""
         if context.actual_type_name in _ALWAYS_BY_VALUE:
             return _BY_VALUE
         declared, method = context.declared_type_name, context.method_name
-        rules = self._rules  # one published table decides the whole value
+        if rules is None:
+            rules = self._rules  # one published table decides the whole value
         # One slot per tier, highest precedence first.
         if context.role is CallRole.ARGUMENT:
             key = (RuleKind.PARAM, declared, method, context.param_index)

@@ -3,7 +3,10 @@
 Method dispatch never probes live objects at call time: every invokable method
 gets a binding callable at registration, and a skeleton dispatches through its
 concrete type's table. Only interface-listed methods are remotely reachable,
-independent of local visibility.
+independent of local visibility. What a call of an interface method needs
+beyond its binding (its descriptor, its strict primitive checks, whether it
+is a field accessor) is worked out at the method's first call and kept on
+the interface as its ``CallPlan``; the client and the server both read it.
 """
 
 from __future__ import annotations
@@ -427,27 +430,73 @@ def _compliant(concrete: TypeDescriptor, wanted: MethodDescriptor) -> bool:
     )
 
 
-def invoke_local(skeleton: Skeleton, method: str, args: Sequence[object]) -> object:
+class CallPlan:
+    """What every call of one interface method needs, worked out once.
+
+    ``key`` is the method's (name, arity), its key in a concrete type's
+    method table. ``checks`` holds (index, type name, check) for each
+    primitive parameter, which dispatch checks strictly. ``accessor`` is
+    ``accessor_of``'s answer, for a handle that serves it from a snapshot.
+    """
+
+    __slots__ = ("method", "key", "checks", "accessor")
+
+    def __init__(self, iface: TypeDescriptor, method: MethodDescriptor):
+        self.method = method
+        self.key = (method.name, method.arity)
+        self.checks = tuple(
+            (i, ptype, _PRIM_CHECKS[ptype])
+            for i, ptype in enumerate(method.params)
+            if ptype in _PRIM_CHECKS
+        )
+        self.accessor = accessor_of(iface, method)
+
+
+def call_plan(iface: TypeDescriptor, method: str, arity: int) -> CallPlan | None:
+    """The plan of an interface's method, built at its first call and kept in
+    ``iface.plans``, which a hot path may read first; None when the
+    interface has no such method."""
+    plan = iface.plans.get((method, arity))
+    if plan is None:
+        md = iface.find_method(method, arity)
+        if md is not None:
+            plan = iface.plans.setdefault((method, arity), CallPlan(iface, md))
+    return plan
+
+
+def invoke_local(
+    skeleton: Skeleton, method: str, args: Sequence[object], plan: CallPlan | None = None
+) -> object:
     """Apply a decoded call to the live object through the skeleton's table.
 
     Methods outside the deployment interface are rejected no matter what the
     concrete type can do locally. Exceptions raised by the binding surface as
-    structured application faults and never crash the node.
+    structured application faults and never crash the node. ``plan`` is the
+    call's ``call_plan``, when the caller has looked it up.
     """
-    iface = skeleton.interface_descriptor
-    md = iface.find_method(method, len(args))
-    if md is None:
-        if method in iface.method_names:
-            raise InvocationError(
-                f"{method}: wrong arity {len(args)} for service "
-                f"{skeleton.service_name or skeleton.guid.hex}"
+    if plan is None:
+        iface = skeleton.interface_descriptor
+        plan = call_plan(iface, method, len(args))
+        if plan is None:
+            if method in iface.method_names:
+                raise InvocationError(
+                    f"{method}: wrong arity {len(args)} for service "
+                    f"{skeleton.service_name or skeleton.guid.hex}"
+                )
+            raise UnknownMethodError(
+                f"method {method!r} not in deployment interface {iface.type_name}"
             )
-        raise UnknownMethodError(
-            f"method {method!r} not in deployment interface {iface.type_name}"
-        )
-    _check_args(md, args)
-    binding = skeleton.concrete.method_table.get(method, len(args))
-    assert binding is not None  # deploy checked that the concrete type has it
+    # Primitive parameters are checked strictly; object-typed parameters
+    # accept whatever decoded (plain Web Service clients send loose shapes).
+    for i, ptype, check in plan.checks:
+        value = args[i]
+        if value is not None and not check(value):
+            raise InvocationError(
+                f"{plan.method.ident}: argument {i} must be {ptype}, "
+                f"got {type(value).__name__}"
+            )
+    # deploy checked that the concrete type binds every interface method
+    binding = skeleton.concrete.method_table.bindings[plan.key]
     try:
         return binding(skeleton.service_object, list(args))
     except Exception as exc:  # noqa: BLE001 - captured as a structured fault
@@ -460,17 +509,3 @@ _PRIM_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
 }
-
-
-def _check_args(md: MethodDescriptor, args: Sequence[object]) -> None:
-    # Primitive parameters are checked strictly; object-typed parameters
-    # accept whatever decoded (plain Web Service clients send loose shapes).
-    for i, (ptype, value) in enumerate(zip(md.params, args)):
-        check = _PRIM_CHECKS.get(ptype)
-        if check is None or value is None:
-            continue
-        if not check(value):
-            raise InvocationError(
-                f"{md.ident}: argument {i} must be {ptype}, "
-                f"got {type(value).__name__}"
-            )

@@ -9,7 +9,8 @@ provides `types`, `services`, `policy`, `proxy_cache`, `references`,
 goes through the node's `HttpClient`. A handle's class, one per set of
 interface method names, has a method for each interface method. A handle serves the
 accessors of its cached fields from its snapshot; `registry.accessor_of`
-decides which methods those are.
+decides which methods those are, once per method, in its call plan. A
+handle without a snapshot holds no lock.
 
 A node keeps the references it sent last, while its rule table and
 endpoint stay the same, and the references it accepted last
@@ -51,8 +52,7 @@ from .model import (
     UNBOUNDED,
     by_value,
 )
-from .policy import CallContext, CallRole, PeerKind
-from .registry import Skeleton, accessor_of
+from .registry import Skeleton, call_plan
 
 DEFAULT_TIMEOUT = 10.0
 IDLE_PER_ENDPOINT = 4  # idle keep-alive connections kept per endpoint
@@ -261,19 +261,12 @@ class Handle(RemoteProxyBase):
     def __init__(self, rior: RIOR, node):
         self.rior = rior
         self._node = node
-        self._cache_lock = threading.Lock()
-        # One decoder per field: each field's document numbers its own objects.
         self.cached_fields: dict[str, object] = {}
-        for name, doc in rior.cached_field_snapshot.items():
-            self.cached_fields[name] = value_decoder(node).decode(doc)
-        # (method, arity) -> (op, field) for the accessors served locally.
-        self._accessors: dict[tuple[str, int], tuple[str, str]] = {}
-        if self.cached_fields:
-            iface = rior.interface_descriptor
-            for m in iface.methods:
-                accessor = accessor_of(iface, m)
-                if accessor is not None and accessor[1] in self.cached_fields:
-                    self._accessors[(m.name, m.arity)] = accessor
+        if rior.cached_field_snapshot:
+            self._cache_lock = threading.Lock()
+            # One decoder per field: each field's document numbers its own objects.
+            for name, doc in rior.cached_field_snapshot.items():
+                self.cached_fields[name] = value_decoder(node).decode(doc)
 
     @property
     def interface_name(self) -> str:
@@ -418,39 +411,34 @@ def remote_invoke(node, handle: Handle, method: str, args: Sequence[object]) -> 
 
     Cached-field accessors are served locally with zero transport calls (a
     local set never contacts the remote node; there is no coherency).
-    Everything else resolves a transmission decision per argument, encodes a
-    request, sends it, and decodes the response. Application faults re-raise
+    Everything else takes a transmission decision per argument, kept per
+    published rule table, encodes a request, sends it, and decodes the
+    response. The method is looked up once, in its interface's call plan. Application faults re-raise
     locally; network faults follow the node's failure policy.
     """
-    accessor = handle._accessors.get((method, len(args)))
-    if accessor is not None:
+    iface = handle.rior.interface_descriptor
+    plan = iface.plans.get((method, len(args))) or call_plan(iface, method, len(args))
+    if plan is None:
+        raise UnknownMethodError(
+            f"method {method!r}/{len(args)} not in deployment interface "
+            f"{iface.type_name}"
+        )
+    accessor = plan.accessor
+    if accessor is not None and accessor[1] in handle.cached_fields:
         op, fname = accessor
         with handle._cache_lock:
             if op == "get":
                 return handle.cached_fields[fname]
             handle.cached_fields[fname] = args[0]
             return None
-    iface = handle.rior.interface_descriptor
-    md = iface.find_method(method, len(args))
-    if md is None:
-        raise UnknownMethodError(
-            f"method {method!r}/{len(args)} not in deployment interface "
-            f"{iface.type_name}"
-        )
+    md = plan.method
 
     encoder = value_encoder(node)
     wire_args = []
     for i, value in enumerate(args):
-        ctx = CallContext(
-            role=CallRole.ARGUMENT,
-            declared_type_name=iface.type_name,
-            method_name=method,
-            actual_type_name=actual_type_name_of(node, value),
-            peer_kind=PeerKind.RRT,
-            param_index=i,
-        )
-        decision = node.policy.resolve(ctx)
-        node.observe_decision("arg", ctx.actual_type_name, decision)
+        actual = actual_type_name_of(node, value)
+        decision = node.policy.decide(iface.type_name, method, i, actual, "rrt")
+        node.observe_decision("arg", actual, decision)
         wire_args.append(encoder.encode(value, decision, md.params[i]))
 
     target = handle.rior.guid.hex
@@ -483,7 +471,6 @@ def auto_deploy(node, obj: object, signature_type_name: str | None = None) -> RI
     """
     if isinstance(obj, RemoteProxyBase):
         return obj.rior
-    require_endpoint(node)  # before deploying: no reference could name the service
     interface: str | None = None
     if not node.config.concrete_type_always and signature_type_name is not None:
         if node.types.lookup(signature_type_name) is not None:
@@ -492,15 +479,17 @@ def auto_deploy(node, obj: object, signature_type_name: str | None = None) -> RI
     # object both deploy it and a peer gets two GUIDs for it.
     with node.services.lock:
         reused = _reusable_deployment(node, obj, signature_type_name)
-        skeleton = reused or node.services.deploy(obj, interface, None)
-    return build_rior(node, skeleton) if skeleton is reused else first_reference(node, skeleton)
+        if reused is None:
+            require_endpoint(node)  # before deploying: no reference could name the service
+            skeleton = node.services.deploy(obj, interface, None)
+    # build_rior refuses a reused service, too, while the node has no endpoint.
+    return build_rior(node, reused) if reused is not None else first_reference(node, skeleton)
 
 
 def _reusable_deployment(node, obj: object, signature_type_name: str | None):
-    concrete_name = node.types.type_of(obj).descriptor.type_name
     deployments = node.services.deployments_of(obj)
-    for sk in deployments:
-        if sk.interface_descriptor.type_name == concrete_name:
+    for sk in deployments:  # the object's own type is each one's concrete type
+        if sk.interface_descriptor.type_name == sk.concrete.descriptor.type_name:
             return sk
 
     # The most derived interface has the signature type furthest up its

@@ -1,11 +1,14 @@
 """Policy-overhead benchmark.
 
 Measures a one-argument, one-return remote call where both the argument and
-the return value travel by reference, with each node's resolver swapped for
-one that returns a fixed decision and with a method rule plus a return rule
-resolved. This is
-the worst case for the policy phase: nothing is serialized, so the rule
-evaluation cost is as visible as it ever gets.
+the return value travel by reference, with each node's decision entry
+(``TransmissionPolicyManager.decide``, which every transmitted value goes
+through) swapped for one that returns a fixed decision, and with a method
+rule plus a return rule decided. This is the worst case for the policy
+phase: nothing is serialized, so its cost is as visible as it ever gets.
+With the rules in place a decision is kept per published rule table, so
+the policy phase measured is the kept-decision lookup; the stand-in keeps
+nothing, so no fixed decision is served in the blocks with the rules.
 
 The two modes run in alternating blocks of calls, and each mode's per-call
 time is the median over its blocks, so drift of a shared machine over the
@@ -97,16 +100,17 @@ def bench_policy_overhead(
             )
         fixed = by_reference()
 
-        def fixed_resolve(context):
+        def fixed_decide(*position):
             return fixed
 
         def run(with_policy: bool, n: int) -> float:
-            """Mean ms per call over n calls; without policy, rules are skipped."""
+            """Mean ms per call over n calls; without policy, no decision is
+            made or kept."""
             for manager in managers:
                 if with_policy:
-                    vars(manager).pop("resolve", None)
+                    vars(manager).pop("decide", None)
                 else:
-                    manager.resolve = fixed_resolve
+                    manager.decide = fixed_decide
             start = time.perf_counter()
             for _ in range(n):
                 handle.echo(payload)
@@ -129,7 +133,7 @@ def bench_policy_overhead(
         with_ms = statistics.median(with_policy)
     finally:
         for manager in (pair.a.policy, pair.b.policy):
-            vars(manager).pop("resolve", None)
+            vars(manager).pop("decide", None)
         if own_pair:
             pair.close()
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import sys
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rrt.errors import PolicyFileError, PolicyRuleError
 from rrt.model import (
@@ -267,12 +269,15 @@ class TestResolve:
     def test_bench_leaves_no_swapped_resolver(self):
         with LocalPair(registrars=(register_bench_types,)) as pair:
             bench_policy_overhead(calls=20, pair=pair, warmup=2)
-            echo_arg = CallContext(CallRole.ARGUMENT, "Echo", "echo", "Payload", PeerKind.RRT, 0)
+            echo_arg = ("Echo", "echo", 0, "Payload", "rrt")
             for manager in (pair.a.policy, pair.b.policy):
-                assert "resolve" not in vars(manager)
-                assert manager.resolve(echo_arg).level == 2
+                assert "decide" not in vars(manager)
+                # Decisions are kept, and each is the rule's, none the stand-in's.
+                assert manager._memo[1]
+                assert all(d.winning_rule != DEFAULT_RULE for d in manager._memo[1].values())
+                assert manager.decide(*echo_arg).level == 2
                 manager.set_param_policy("Echo", "echo", 0, VAL, 1, False)
-                assert manager.resolve(echo_arg).kind is VAL
+                assert manager.decide(*echo_arg).kind is VAL
 
 
 class _CountingTable(dict):
@@ -595,3 +600,210 @@ class TestDescribeDecision:
         assert describe_decision(d, CallRole.RETURN_VALUE) == (
             "BY_VALUE via return rule, level 2"
         )
+
+
+# -- decisions kept per published table ------------------------------------------
+
+
+def _memo_registry() -> TypeRegistry:
+    """"I" declares m and n with two parameters each; "J" and "Late" are
+    left unregistered, and "Late" (a "Base") may register mid-run."""
+    types = TypeRegistry()
+    types.register_type(TypeDescriptor("Base"))
+    types.register_type(TypeDescriptor("Derived", supertype_name="Base"))
+    types.register_type(
+        TypeDescriptor(
+            "I",
+            methods=(
+                MethodDescriptor("m", ("Base", "Base"), "Base"),
+                MethodDescriptor("n", ("Base", "Base"), "Base"),
+            ),
+            is_interface=True,
+        )
+    )
+    return types
+
+
+_DECLARED = ("I", "J")
+_METHODS = ("m", "n")
+_INDEXES = (None, 0, 1)
+_ACTUALS = ("Derived", "Base", "Late", "Key", "i64", "list")
+_PEERS = ("rrt", "plain")
+_RULE_TYPES = ("Base", "Derived", "Late", "Key")
+
+
+def _fresh(manager, declared, method, index, actual, peer, rules=None):
+    """The decision ``resolve`` makes for the position, with no kept decision."""
+    role = CallRole.RETURN_VALUE if index is None else CallRole.ARGUMENT
+    context = CallContext(role, declared, method, actual, PeerKind(peer), index)
+    return manager.resolve(context, rules)
+
+
+def _positions():
+    return itertools.product(_DECLARED, _METHODS, _INDEXES, _ACTUALS, _PEERS)
+
+
+def _assert_kept_equal_fresh(manager):
+    for position in _positions():
+        assert manager.decide(*position) == _fresh(manager, *position), position
+
+
+_policy = st.sampled_from((VAL, REF))
+_flag = st.booleans()
+_rule_op = st.one_of(
+    st.tuples(st.just("class"), st.sampled_from(_RULE_TYPES), _policy, _flag, _flag),
+    st.tuples(st.just("method"), st.sampled_from(_DECLARED), st.sampled_from(_METHODS),
+              _policy, _flag),
+    st.tuples(st.just("return"), st.sampled_from(_DECLARED), st.sampled_from(_METHODS),
+              _policy, _flag),
+    st.tuples(st.just("param"), st.sampled_from(_DECLARED), st.sampled_from(_METHODS),
+              st.sampled_from((0, 1)), _policy, _flag),
+)
+_op = st.one_of(
+    _rule_op,
+    st.tuples(st.just("load"), st.lists(_rule_op, min_size=1, max_size=3)),
+    st.tuples(st.just("remove"), st.integers(0, 50)),
+    st.tuples(st.just("register_late")),
+    st.tuples(st.just("overlay"), st.sampled_from(_DECLARED), st.sampled_from(_METHODS),
+              st.sampled_from((0, 1)), _policy, _flag),
+)
+
+
+def _rule_xml(op) -> str:
+    kind, *rest = op
+    if kind == "class":
+        name, policy, overridable, subtypes = rest
+        return (f'<class name="{name}" policy="{policy.value}" '
+                f'overridable="{_bool_text(overridable)}" subclasses="{_bool_text(subtypes)}"/>')
+    if kind == "param":
+        declared, method, index, policy, overridable = rest
+        return (f'<param class="{declared}" method="{method}" index="{index}" '
+                f'policy="{policy.value}" depth="2" overridable="{_bool_text(overridable)}"/>')
+    declared, method, policy, overridable = rest
+    if kind == "method":
+        return (f'<method class="{declared}" name="{method}" policy="{policy.value}" '
+                f'depth="3" overridable="{_bool_text(overridable)}"/>')
+    return (f'<return class="{declared}" method="{method}" policy="{policy.value}" '
+            f'overridable="{_bool_text(overridable)}"/>')
+
+
+def _bool_text(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _apply_rule(manager, op) -> int:
+    kind, *rest = op
+    if kind == "class":
+        name, policy, overridable, subtypes = rest
+        return manager.set_class_policy(name, policy, overridable, subtypes)
+    if kind == "param":
+        declared, method, index, policy, overridable = rest
+        return manager.set_param_policy(declared, method, index, policy, 2, overridable)
+    declared, method, policy, overridable = rest
+    if kind == "method":
+        return manager.set_method_policy(declared, method, policy, 3, overridable)
+    return manager.set_return_value_policy(declared, method, policy, overridable)
+
+
+class TestKeptDecisions:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(_op, max_size=8))
+    def test_kept_decisions_match_fresh_resolution(self, ops):
+        """Under rule changes, policy files, removals, overlays, both peer
+        kinds and a type registered after its first decision, every decision
+        ``decide`` answers equals the one ``resolve`` makes afresh."""
+        types = _memo_registry()
+        manager = TransmissionPolicyManager(types=types)
+        rule_ids: list[int] = []
+        _assert_kept_equal_fresh(manager)
+        for op in ops:
+            kind = op[0]
+            if kind == "load":
+                body = "".join(_rule_xml(rule) for rule in op[1])
+                rule_ids += manager.load_policy_file(f"<policies>{body}</policies>")
+            elif kind == "remove":
+                if rule_ids:
+                    manager.remove_rule(rule_ids.pop(op[1] % len(rule_ids)))
+            elif kind == "register_late":
+                if types.lookup("Late") is None:
+                    types.register_type(TypeDescriptor("Late", supertype_name="Base"))
+            elif kind == "overlay":
+                _, declared, method, index, policy, overridable = op
+                with manager.scoped_param_policy(
+                    declared, method, index, policy, 2, overridable
+                ):
+                    _assert_kept_equal_fresh(manager)
+            else:
+                rule_ids.append(_apply_rule(manager, op))
+            _assert_kept_equal_fresh(manager)
+
+    def test_only_registered_names_are_kept(self, manager):
+        manager.set_class_policy("Base", VAL, True, True)
+        assert manager.decide("I", "m", 0, "Late", "rrt").kind is REF
+        assert manager.decide("J", "m", 0, "Derived", "rrt").kind is VAL
+        assert manager.decide("I", "m", 0, "Derived", "rrt").kind is VAL
+        assert list(manager._memo[1]) == [("I", "m", 0, "Derived", "rrt")]
+        # "Late" registers after its first decision: its chain now holds Base.
+        manager._types.register_type(TypeDescriptor("Late", supertype_name="Base"))
+        assert manager.decide("I", "m", 0, "Late", "rrt").kind is VAL
+
+    def test_an_overlaid_slot_resolves_afresh_and_keeps_nothing(self, manager):
+        manager.decide("I", "m", 0, "Derived", "rrt")
+        kept = dict(manager._memo[1])
+        with manager.scoped_param_policy("I", "m", 1, VAL, 1, False):
+            assert manager.decide("I", "m", 1, "Derived", "rrt").kind is VAL
+            assert manager.decide("I", "m", 0, "Derived", "rrt").kind is REF
+        assert manager._memo[1] == kept
+        assert manager.decide("I", "m", 1, "Derived", "rrt").kind is REF
+
+    def test_threads_changing_rules_decide_by_the_table_before_or_after(self):
+        """Four threads change rules while they decide. Each decision equals
+        ``resolve`` under a table published while it was made: the one before
+        a change or the one after it."""
+        published: list[dict] = []
+
+        class Recording(TransmissionPolicyManager):
+            @property
+            def _rules(self):
+                return self.__dict__["_published"]
+
+            @_rules.setter
+            def _rules(self, table):  # writers publish under the manager's lock
+                self.__dict__["_published"] = table
+                published.append(table)
+
+        manager = Recording(types=_memo_registry())
+        positions = list(_positions())
+        seen: list[tuple] = []  # (position, decision, first and last table index)
+        barrier = threading.Barrier(4)
+
+        def run(t: int) -> None:
+            rnd = random.Random(t)
+            barrier.wait()
+            for i in range(150):
+                if i % 5 == t % 5:
+                    policy = rnd.choice((VAL, REF))
+                    if t % 2:
+                        manager.set_class_policy(rnd.choice(_RULE_TYPES), policy, True, True)
+                    else:
+                        manager.set_param_policy("I", "m", rnd.choice((0, 1)), policy, 2, False)
+                position = rnd.choice(positions)
+                first = len(published) - 1
+                decision = manager.decide(*position)
+                seen.append((position, decision, first, len(published)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(published) > 100
+        for position, decision, first, last in seen:
+            allowed = [_fresh(manager, *position, table) for table in published[first:last + 1]]
+            assert decision in allowed, position

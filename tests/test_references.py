@@ -450,8 +450,8 @@ def register_echo(types: TypeRegistry) -> None:
 
 #: rrt's own Python calls per by-reference echo on Python 3.11. Python 3.12
 #: and later inline comprehensions (PEP 709), so they count fewer.
-CLIENT_CALLS_PER_ECHO = 54
-SERVER_CALLS_PER_ECHO = 51
+CLIENT_CALLS_PER_ECHO = 48
+SERVER_CALLS_PER_ECHO = 43
 
 
 def test_calls_per_echo_stay_within_bounds():
@@ -499,6 +499,71 @@ def test_calls_per_echo_stay_within_bounds():
     server_calls = min(s for _, s in per_echo)
     assert client_calls <= CLIENT_CALLS_PER_ECHO, per_echo
     assert server_calls <= SERVER_CALLS_PER_ECHO, per_echo
+
+
+def _echo_pair(pair):
+    client, server = pair.a, pair.b
+    server.deploy(Echo(), None, "echo")
+    handle = client.get_object_by_name(server.endpoint.host, server.endpoint.port, "echo")
+    return client, server, handle
+
+
+def test_warm_echo_resolves_nothing_and_observes_each_value(monkeypatch):
+    """Once each value position has been decided, a by-reference echo runs
+    ``resolve`` on neither side, and each side's observer still sees its one
+    decision: the argument on the client, the return value on the server."""
+    resolved = {"client": 0, "server": 0}
+    observed: list[tuple] = []
+    original = rrt.policy.TransmissionPolicyManager.resolve
+
+    with LocalPair(registrars=(register_echo,)) as pair:
+        client, server, handle = _echo_pair(pair)
+        payload = Payload(7)
+        for _ in range(3):
+            assert handle.echo(payload) is payload
+
+        def counting(manager, *args):
+            resolved["client" if manager is client.policy else "server"] += 1
+            return original(manager, *args)
+
+        client.decision_observer = lambda *seen: observed.append(("client", *seen))
+        server.decision_observer = lambda *seen: observed.append(("server", *seen))
+        monkeypatch.setattr(rrt.policy.TransmissionPolicyManager, "resolve", counting)
+        for _ in range(10):
+            assert handle.echo(payload) is payload
+    assert resolved == {"client": 0, "server": 0}
+    by_reference = rrt.by_reference()
+    assert sorted(observed) == sorted(
+        [("client", "arg", "Payload", by_reference), ("server", "return", "Payload", by_reference)]
+        * 10
+    )
+
+
+def test_handles_with_fresh_interface_names_keep_no_decision():
+    """A peer can name ever new interfaces; decisions for names that are not
+    registered are not kept, so the kept decisions stay as many as the
+    registered positions."""
+    with LocalPair(registrars=(register_echo,)) as pair:
+        client, server, handle = _echo_pair(pair)
+        payload = Payload(7)
+        assert handle.echo(payload) is payload
+        kept = len(client.policy._memo[1]), len(server.policy._memo[1])
+        assert kept == (1, 1)
+        method = ECHO_TYPE.methods[0]
+        for i in range(1000):
+            iface = TypeDescriptor(f"Fresh{i}", methods=(method,))
+            fresh = Handle(replace(handle.rior, interface_descriptor=iface), client)
+            assert fresh.echo(payload) is payload
+        assert (len(client.policy._memo[1]), len(server.policy._memo[1])) == kept
+
+
+def test_handle_without_snapshot_builds_no_lock_or_accessor_table(pair):
+    server, client = pair.a, pair.b
+    server.deploy(P2PNode(Key("k")), "IP2PNode", "P2P")
+    p2p = client.get_object_by_name(server.endpoint.host, server.endpoint.port, "P2P")
+    assert p2p.cached_fields == {}
+    assert not {"_cache_lock", "_accessors"} & vars(p2p).keys()
+    assert p2p.get_key().interface_name == "Key"  # over the wire: nothing is cached
 
 
 def test_by_reference_deliver_builds_no_document_on_the_server(pair, monkeypatch):

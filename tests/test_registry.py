@@ -393,6 +393,57 @@ class TestInvokeLocal:
         invoke_local(sk, "set_key", [Key("k2")])
         assert node.key.value == "k2"
 
+    def test_one_interface_over_two_classes_dispatches_to_each(self, types):
+        # The call plan is the interface's; the binding stays each class's own.
+        class Loud:
+            def speak(self, word):
+                return word.upper()
+
+        class Quiet:
+            def speak(self, word):
+                return word.lower()
+
+        speaker = TypeDescriptor(
+            "ISpeaker", methods=(MethodDescriptor("speak", ("string",), "string"),),
+            is_interface=True,
+        )
+        types.register_type(speaker)
+        for cls in (Loud, Quiet):
+            desc = TypeDescriptor(cls.__name__, methods=speaker.methods)
+            types.register_type(desc, MethodTable.for_class(cls, desc), py_type=cls)
+        services = ServiceRegistry(types)
+        services.deploy(Loud(), "ISpeaker", "loud")
+        services.deploy(Quiet(), "ISpeaker", "quiet")
+        for _ in range(2):
+            assert invoke_local(services.lookup("loud"), "speak", ["Hi"]) == "HI"
+            assert invoke_local(services.lookup("quiet"), "speak", ["Hi"]) == "hi"
+        with pytest.raises(InvocationError, match="argument 0 must be string"):
+            invoke_local(services.lookup("quiet"), "speak", [3])
+
+    def test_a_hidden_method_called_through_one_interface_stays_hidden_in_another(self):
+        class Widget:
+            def visible(self):
+                return 1
+
+            def hidden(self):
+                return 2
+
+        desc = TypeDescriptor(
+            "Widget",
+            methods=(
+                MethodDescriptor("visible", (), "i64"),
+                MethodDescriptor("hidden", (), "i64", visibility=NON_PUBLIC),
+            ),
+        )
+        t = TypeRegistry()
+        t.register_type(desc, MethodTable.for_class(Widget, desc), py_type=Widget)
+        services = ServiceRegistry(t)
+        services.deploy(Widget(), "Widget", "full")
+        services.deploy(Widget(), None, "public")
+        assert invoke_local(services.lookup("full"), "hidden", []) == 2
+        with pytest.raises(UnknownMethodError, match="not in deployment interface Widget"):
+            invoke_local(services.lookup("public"), "hidden", [])
+
 
 class TestReturnType:
     """The deployment interface declares each method's return type, which is
