@@ -54,7 +54,7 @@ PRIM_TAGS = frozenset({"i64", "f64", "bool", "str", "null"})
 MAX_NESTING = 200
 #: Largest invoke body a node accepts; larger requests are refused unsent.
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
-#: References a node remembers in each direction, by GUID.
+#: References a node remembers, its own and its peers' together, by GUID.
 REFERENCE_MEMO_LIMIT = 64
 #: Longest host or service name of a reference document a node remembers.
 REMEMBERED_TEXT_LIMIT = 256
@@ -630,15 +630,16 @@ class Recent(dict):
 
 
 class ReferenceMemo(Recent):
-    """The RIOR last accepted for each GUID.
+    """A node's one reference table: the RIOR last sent or accepted per GUID.
 
     A document equal to the remembered RIOR's own, with an integer port and
     boolean flags (JSON's 8000 equals 8000.0, and 1 equals true), yields
-    that RIOR unparsed; any other takes the full ``doc_to_rior``. Remembered
-    are only references without a snapshot (whose values equality cannot
-    check either), of a registered interface, and with a host and name
-    within ``REMEMBERED_TEXT_LIMIT``. The RIOR's own document is the one it
-    would send, built at the first repeat or sending, not the one received.
+    that RIOR unparsed, so a node gets back the very RIOR it sent; any other
+    takes the full ``doc_to_rior``. A peer's is remembered only without a
+    snapshot (whose values equality cannot check either), of a registered
+    interface, and with a host and name within ``REMEMBERED_TEXT_LIMIT``.
+    The RIOR's own document is the one it would send, built at the first
+    repeat or sending, not the one received.
     """
 
     def __init__(self, registry):

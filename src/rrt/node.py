@@ -3,11 +3,11 @@
 ``NodeConfig`` holds what is fixed at bind time; rules and services are set
 through ``node.policy`` and ``deploy``, before ``start()`` or while serving.
 
-A node binds one TCP port and serves four endpoints:
+A node binds one TCP port and serves these routes:
 
     GET  /services          JSON listing of deployed services
     GET  /describe/<id>     full remote-reference document for one service
-    GET  /browse            HTML listing for humans
+    GET  /  or  /browse     HTML listing for humans
     GET  /<id>              alias of describe
     POST /invoke/<id>       remote method invocation
 
@@ -16,14 +16,15 @@ produces a structured protocol fault, never a connection abort. An
 invocation looks its method up once, in the interface's call plan
 (``registry.call_plan``), which dispatch and the return value's encoding
 share; the return value's transmission decision is kept per published rule
-table (``TransmissionPolicyManager.decide``). Connections
-are HTTP/1.1 keep-alive, served by one thread each that reads each request
-head with ``framing.read_head``, the reader the client reads replies with
-(RFC 9112). A request the node will not serve (a malformed or
-oversized head, an HTTP major version above 1, a method other than GET and
-POST, or a ``POST`` whose ``Content-Length`` is missing, malformed or over
-``MAX_REQUEST_BYTES``) gets a 4xx or 5xx reply with a JSON ``{"error": ...}``
-body, and the connection is closed.
+table (``TransmissionPolicyManager.decide``); own and peers' references
+share one table (``codec.ReferenceMemo``). Connections are HTTP/1.1
+keep-alive, served by one thread each that reads each request head with
+``framing.read_head``, the reader the client reads replies with (RFC 9112).
+A request the node will not serve (a malformed or oversized head, an HTTP
+major version above 1, a method other than GET and POST, or a ``POST`` whose
+``Content-Length`` is missing, malformed or over ``MAX_REQUEST_BYTES``) gets
+a 4xx or 5xx reply with a JSON ``{"error": ...}`` body, and the connection
+is closed.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class RRTNode:
         self.services = ServiceRegistry(self.types, guid_source=guid_source)
         self.proxy_cache = remote.ProxyCache()
         self.references = codec.ReferenceMemo(self.types)
-        self.sent_references = codec.Recent(codec.REFERENCE_MEMO_LIMIT)
         self.http = remote.HttpClient()
         self.fault_log: list[str] = []
         self.decision_observer = None

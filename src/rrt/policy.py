@@ -22,7 +22,8 @@ values always travel by value, whatever the rules say.
 which keeps each decision with the published rule table it was made under,
 so a value position is resolved once per table. A position whose type
 names are not registered, or whose parameter slot the calling thread has
-overlaid (``scoped_param_policy``), is resolved afresh on every call.
+overlaid (``scoped_param_policy``), is resolved afresh on every call. So
+are the fields a reference caches kept per table (``cached_field_names``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .model import (
     PRIMITIVE_TYPES,
     PolicyKind,
     TransmissionDecision,
+    TypeDescriptor,
     UNBOUNDED,
     by_reference,
     by_value,
@@ -206,8 +208,8 @@ class TransmissionPolicyManager:
         self._rules: dict[tuple, dict] = {}
         self._next_id = 0
         self._lock = threading.Lock()  # writers and the rule-id counter only
-        # (published table, decisions made under it), replaced with the table.
-        self._memo: tuple[dict, dict] = (self._rules, {})
+        # (published table, decisions and cached-field names made under it).
+        self._memo: tuple[dict, dict, dict] = (self._rules, {}, {})
 
     # -- rule installation ---------------------------------------------------
 
@@ -349,16 +351,26 @@ class TransmissionPolicyManager:
     def _slot_rules(self, key: tuple) -> list[PolicyRule]:
         return sorted(self._rules.get(key, _EMPTY).values(), key=lambda r: r.rule_id)
 
-    @property
-    def rule_table(self) -> dict:
-        """The published rule table. It is never changed in place, so a new
-        object means that a rule changed."""
-        return self._rules
-
-    def cached_fields_for(self, type_names: Iterable[str]) -> set[str]:
-        """Union of cache-rule field names over several type names."""
-        rules = self._rules
+    def cached_fields_for(self, type_names: Iterable[str], rules: dict | None = None) -> set[str]:
+        """Cache-rule field names of the type names, under ``rules`` or the published table."""
+        rules = self._rules if rules is None else rules
         return {f for name in type_names for f in rules.get((RuleKind.CACHE_FIELD, name), _EMPTY)}
+
+    def cached_field_names(self, concrete_type_name: str, iface: TypeDescriptor) -> tuple:
+        """Sorted names of the interface's fields that cache rules name on
+        either type's lineage, kept per published rule table. The types are
+        a deployed service's, so registered: the registry bounds the memo."""
+        rules, memo = self._rules, self._memo
+        if memo[0] is not rules:
+            memo = self._memo = (rules, {}, {})
+        key = (concrete_type_name, iface.type_name)
+        names = memo[2].get(key)
+        if names is None:
+            lineage = self._types.supertype_chain_of
+            type_names = lineage(concrete_type_name) + lineage(iface.type_name)
+            cached = self.cached_fields_for(type_names, rules)
+            names = memo[2][key] = tuple(sorted(cached & iface.field_names))
+        return names
 
     def all_rules(self) -> list[PolicyRule]:
         rules = [r for slot in self._rules.values() for r in slot.values()]
@@ -429,10 +441,9 @@ class TransmissionPolicyManager:
         """
         if actual_type_name in _ALWAYS_BY_VALUE:
             return _BY_VALUE
-        rules = self._rules  # the table that decides, and the one it is kept for
-        memo = self._memo
+        rules, memo = self._rules, self._memo  # the table that decides, and its memo
         if memo[0] is not rules:
-            memo = self._memo = (rules, {})
+            memo = self._memo = (rules, {}, {})
         key = (declared_type_name, method_name, param_index, actual_type_name, peer)
         overlays = _PARAM_OVERLAY.get()
         overlaid = bool(overlays) and param_index is not None and (

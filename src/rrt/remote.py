@@ -3,20 +3,18 @@ resolution, smart-proxy field caching, automatic deployment, and outbound
 method invocation.
 
 Functions here take the owning runtime node as their first argument; a node
-provides `types`, `services`, `policy`, `proxy_cache`, `references`,
-`sent_references`, `http`, `endpoint` and `config`, plus
-`handle_network_fault` and `observe_decision` hooks. Every outbound request
-goes through the node's `HttpClient`. A handle's class, one per set of
-interface method names, has a method for each interface method. A handle serves the
-accessors of its cached fields from its snapshot; `registry.accessor_of`
-decides which methods those are, once per method, in its call plan. A
-handle without a snapshot holds no lock.
+provides `types`, `services`, `policy`, `proxy_cache`, `references`, `http`,
+`endpoint` and `config`, plus `handle_network_fault` and `observe_decision`
+hooks. Every outbound request goes through the node's `HttpClient`. A
+handle's class, one per set of interface method names, has a method for each
+interface method. A handle serves the accessors of its cached fields from
+its snapshot; `registry.accessor_of` decides which methods those are, once
+per method, in its call plan. A handle without a snapshot holds no lock.
 
-A node keeps the references it sent last, while its rule table and
-endpoint stay the same, and the references it accepted last
-(`codec.ReferenceMemo`): a repeated reference costs a lookup, not a rebuild
-or a parse. Each table keeps `codec.REFERENCE_MEMO_LIMIT` GUIDs. A
-reference's document and text are the codec's, built at their first use.
+A node's one reference table, `node.references` (`codec.ReferenceMemo`),
+holds by GUID the reference last sent for each own service and the one last
+accepted for each peer's: a repeated reference costs a lookup, not a
+rebuild or a parse. Its document and text are the codec's.
 """
 
 from __future__ import annotations
@@ -528,41 +526,30 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
     reference goes on the wire: cache-rule field names applicable to the
     service (via its concrete type or its deployment interface, including
     supertypes) that the interface declares, plus the current field values.
-    The rest is kept in ``node.sent_references`` until a rule or the
-    node's endpoint changes; without cached fields, it is the reference, so
-    the document and text the codec keeps on it serve every emission.
+    The rest is the service's entry in ``node.references``; without cached
+    fields, it is the reference. Only this function stores the node's own
+    ``Endpoint`` there, so an entry holding another (a peer's, or one from
+    before a restart) is never sent: it is rebuilt, as an evicted one is.
     """
     endpoint = require_endpoint(node)
-    rules = node.policy.rule_table
-    kept = node.sent_references.get(skeleton.guid.value)
-    if kept is None or kept[0] is not rules or kept[1].endpoint is not endpoint:
-        kept = _skeleton_reference(node, skeleton, rules, endpoint)
-        node.sent_references.put(skeleton.guid.value, kept)
-    _, rior, cached = kept
+    guid = skeleton.guid.value.hex()  # GUID.hex, without a call on the warm path
+    rior = node.references.get(guid)
+    iface = skeleton.interface_descriptor
+    if rior is None or rior.endpoint is not endpoint:
+        rior = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface)
+        node.references.put(guid, rior)
+    cached = node.policy.cached_field_names(skeleton.concrete.descriptor.type_name, iface)
     if not cached:
         return rior
-    obj, iface = skeleton.service_object, skeleton.interface_descriptor
     snapshot = {}
     for fname in cached:
         try:
-            value = getattr(obj, fname)
+            value = getattr(skeleton.service_object, fname)
         except AttributeError:
             raise WireFormatError(
                 f"{skeleton.concrete.descriptor.type_name}.{fname}: "
                 "live object has no such field"
             ) from None
-        snapshot[fname] = value_encoder(node).encode(
-            value, by_value(UNBOUNDED), iface.field(fname).type_name
-        )
+        field_type = iface.field(fname).type_name
+        snapshot[fname] = value_encoder(node).encode(value, by_value(UNBOUNDED), field_type)
     return RIOR(endpoint, skeleton.guid, skeleton.service_name, iface, snapshot)
-
-
-def _skeleton_reference(node, skeleton: Skeleton, rules: dict, endpoint: Endpoint) -> tuple:
-    """(rule table, reference without a snapshot, cached field names) for a
-    skeleton."""
-    iface = skeleton.interface_descriptor
-    cached = node.policy.cached_fields_for(
-        skeleton.concrete.lineage + node.types.supertype_chain_of(iface.type_name)
-    )
-    rior = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface)
-    return rules, rior, tuple(sorted(cached & iface.field_names))

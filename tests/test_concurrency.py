@@ -1,14 +1,17 @@
 """Concurrency contracts: concurrent endpoint traffic, atomic proxy
-get-or-create, service-map reads under writers, and the fault-log bound."""
+get-or-create, service-map reads under writers, the reference table under
+senders and parsers, and the fault-log bound."""
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from rrt.codec import REFERENCE_MEMO_LIMIT, canonical_bytes, rior_to_doc
 from rrt.errors import NetworkFault
-from rrt.model import MethodDescriptor
+from rrt.model import RIOR, Endpoint, MethodDescriptor
 from rrt.node import FAULT_LOG_LIMIT, RRTNode
 from rrt.remote import resolve_incoming_rior, build_rior
 from rrt.remote import auto_deploy
@@ -120,6 +123,52 @@ def test_auto_deploy_one_service_when_two_threads_race(pair):
     assert not any(t.is_alive() for t in threads)
     assert len(node.services.deployments_of(key)) == 1
     assert riors[0].guid == riors[1].guid
+
+
+def test_reference_table_under_concurrent_senders_and_parsers(pair):
+    """Threads sending the node's own references and threads parsing peers'
+    documents that name the same GUIDs share one table: every reference sent
+    is the node's own, and the table keeps its bound."""
+    node = pair.a
+    skeletons = [
+        node.services.deploy(Message(str(i)), None, None) for i in range(REFERENCE_MEMO_LIMIT + 16)
+    ]
+    iface = node.types.lookup("IP2PNode").descriptor
+    peer_docs = [
+        json.loads(canonical_bytes(rior_to_doc(
+            RIOR(Endpoint(node.endpoint.host, 1), sk.guid, "peer", iface))))
+        for sk in skeletons
+    ]
+    wrong = []
+
+    def send(t):
+        for _ in range(3):
+            for sk in skeletons[t::2]:
+                rior = build_rior(node, sk)
+                if rior.endpoint is not node.endpoint or rior.guid != sk.guid or (
+                    rior.interface_descriptor is not sk.interface_descriptor
+                ):
+                    wrong.append(rior)
+
+    def parse(t):
+        for _ in range(3):
+            for doc in peer_docs[t::2]:
+                node.references.parse(doc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, t) for work in (send, parse) for t in range(2)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert wrong == []
+    assert len(node.references) <= REFERENCE_MEMO_LIMIT
+    for sk in skeletons:
+        rior = build_rior(node, sk)
+        assert node.references.get(sk.guid.hex) is rior and rior.endpoint is node.endpoint
 
 
 def test_fault_log_bound_holds_under_concurrent_faults():

@@ -153,6 +153,21 @@ class TestOutgoing:
         assert pair.a.policy.remove_rule(rule)
         assert sent_doc(build_rior(pair.a, skeleton))["cache"]["accessors"] == []
 
+    def test_peer_document_cannot_take_over_an_own_guid(self, pair):
+        """A peer's document that names an own GUID is remembered, but the
+        node still sends its own reference for that service."""
+        node = pair.a
+        skeleton = node.services.deploy(Message("m"), None, "msg")
+        before = wire_bytes(build_rior(node, skeleton))
+        impostor = RIOR(Endpoint(node.endpoint.host, 1), skeleton.guid, "other",
+                        node.types.lookup("IP2PNode").descriptor)
+        parsed = node.references.parse(json.loads(canonical_bytes(rior_to_doc(impostor))))
+        assert node.references.get(skeleton.guid.hex) is parsed
+        rior = build_rior(node, skeleton)
+        assert rior.endpoint is node.endpoint and rior.service_name == "msg"
+        assert rior.interface_descriptor is skeleton.interface_descriptor
+        assert wire_bytes(rior) == before
+
     def test_restarted_node_emits_its_new_endpoint(self, node_factory):
         node = node_factory()
         skeleton = node.services.deploy(Message("m"), None, "msg")
@@ -448,8 +463,8 @@ def register_echo(types: TypeRegistry) -> None:
     types.register_type(ECHO_TYPE, MethodTable.for_class(Echo, ECHO_TYPE), py_type=Echo)
 
 
-#: rrt's own Python calls per by-reference echo on Python 3.11. Python 3.12
-#: and later inline comprehensions (PEP 709), so they count fewer.
+#: rrt's own Python calls per by-reference echo; Python 3.10, 3.11, 3.12
+#: and 3.13 all count the same.
 CLIENT_CALLS_PER_ECHO = 48
 SERVER_CALLS_PER_ECHO = 43
 
@@ -555,6 +570,30 @@ def test_handles_with_fresh_interface_names_keep_no_decision():
             fresh = Handle(replace(handle.rior, interface_descriptor=iface), client)
             assert fresh.echo(payload) is payload
         assert (len(client.policy._memo[1]), len(server.policy._memo[1])) == kept
+
+
+def test_reference_sent_and_got_back_is_held_once(monkeypatch):
+    """A reference a node sends and gets back is one entry of its one
+    reference table: the document the peer sent back parses to the very
+    RIOR the node sent."""
+    replies = []
+    with LocalPair(registrars=(register_echo,)) as pair:
+        client, server, handle = _echo_pair(pair)
+        request = client.http.request
+
+        def keeping(*args):
+            replies.append(request(*args))
+            return replies[-1]
+
+        monkeypatch.setattr(client.http, "request", keeping)
+        payload = Payload(7)
+        assert handle.echo(payload) is payload
+        (skeleton,) = client.services.deployments_of(payload)
+        sent = build_rior(client, skeleton)
+        held = [rior for rior in client.references.values() if rior.guid == skeleton.guid]
+        assert len(held) == 1 and held[0] is sent
+        returned = json.loads(replies[-1])["result"]["rior"]
+        assert client.references.parse(returned) is sent
 
 
 def test_handle_without_snapshot_builds_no_lock_or_accessor_table(pair):

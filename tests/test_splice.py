@@ -344,6 +344,9 @@ def test_documents_are_left_as_they_were(node):
 
 
 def test_text_is_built_once_and_again_after_a_rule_change(node, monkeypatch):
+    """A service's reference keeps its text across rule changes that cache
+    none of its fields; a cache rule on one of them sends a snapshot, and
+    removing the rule sends the kept reference again."""
     built = []
     original = codec.reference_text
 
@@ -360,10 +363,18 @@ def test_text_is_built_once_and_again_after_a_rule_change(node, monkeypatch):
         return encode_request(Request("t", "m", [doc]), encoder)
 
     sent = {emit() for _ in range(100)}
-    assert len(built) == 1 and len(sent) == 1
-    node.policy.set_field_to_be_cached("Key", "value")  # any rule change
+    kept = build_rior(node, skeleton)
+    assert len(built) == 1 and len(sent) == 1 and built[0] is kept
+    node.policy.set_field_to_be_cached("Key", "value")  # caches none of Message's fields
     assert emit() in sent
-    assert len(built) == 2 and built[1] is build_rior(node, skeleton) is not built[0]
+    assert len(built) == 1 and build_rior(node, skeleton) is kept
+    rule = node.policy.set_field_to_be_cached("Message", "payload")
+    snapshot = emit()
+    assert snapshot not in sent and b'"accessors":["payload"]' in snapshot
+    assert built[1] is not kept and built[1].cached_field_snapshot
+    assert node.policy.remove_rule(rule)
+    assert emit() in sent
+    assert built[2:] == [] and build_rior(node, skeleton) is kept
 
 
 @pytest.mark.parametrize("port", [18765, 18765.0])
