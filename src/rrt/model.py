@@ -63,10 +63,9 @@ class GUID:
     def __post_init__(self):
         if not isinstance(self.value, bytes) or len(self.value) != 16:
             raise ValueError("GUID requires exactly 16 bytes")
-
-    @property
-    def hex(self) -> str:
-        return self.value.hex()
+        # The canonical text, built once: every per-node table is keyed by
+        # it. Not a field, so equality, hashing, order and repr see only value.
+        object.__setattr__(self, "hex", self.value.hex())
 
     @classmethod
     def parse(cls, text: str) -> "GUID":

@@ -47,7 +47,7 @@ from .errors import (
     ServiceNotFound,
 )
 from .framing import IDLE_TIMEOUT, FramingError
-from .model import Endpoint, GuidSource, MethodDescriptor, RIOR, TransmissionDecision
+from .model import Endpoint, GuidSource, MethodDescriptor, RIOR
 from .policy import TransmissionPolicyManager
 from .registry import ServiceRegistry, TypeRegistry, call_plan, invoke_local
 
@@ -89,6 +89,8 @@ class RRTNode:
         self.references = codec.ReferenceMemo(self.types)
         self.http = remote.HttpClient()
         self.fault_log: list[str] = []
+        # When set, called as (role, actual type name, decision) for each
+        # argument ("arg") and return value ("return") this node decides.
         self.decision_observer = None
         self.invoke_requests = 0
         self._counter_lock = threading.Lock()
@@ -205,13 +207,6 @@ class RRTNode:
     def get_object_by_name(self, host: str, port: int, name: str):
         return remote.get_object_by_name(self, host, port, name)
 
-    def observe_decision(
-        self, role: str, type_name: str, decision: TransmissionDecision
-    ) -> None:
-        observer = self.decision_observer
-        if observer is not None:
-            observer(role, type_name, decision)
-
     def handle_network_fault(self, method: MethodDescriptor, failure: NetworkFault):
         """Decide a network fault's fate for one method call.
 
@@ -293,7 +288,9 @@ class RRTNode:
             result = invoke_local(skeleton, method, args, plan)
             actual = remote.actual_type_name_of(self, result)
             decision = self.policy.decide(iface.type_name, method, None, actual, request.peer_kind)
-            self.observe_decision("return", actual, decision)
+            observer = self.decision_observer  # read once, as remote_invoke does
+            if observer is not None:
+                observer("return", actual, decision)
             encoder = remote.value_encoder(self)
             wire = encoder.encode(result, decision, plan.method.return_type)
             return codec.encode_response(Response(ok=True, result=wire), encoder)

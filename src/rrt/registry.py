@@ -293,8 +293,8 @@ class ServiceRegistry:
     def __init__(self, types: TypeRegistry, *, guid_source: GuidSource | None = None):
         self.types = types
         self._guid_source = guid_source
-        # In deploy order, since a GUID is never reused.
-        self._by_guid: dict[GUID, Skeleton] = {}
+        # By GUID text, in deploy order, since a GUID is never reused.
+        self._by_guid: dict[str, Skeleton] = {}
         self._by_name: dict[str, Skeleton] = {}
         self._by_object: dict[int, list[Skeleton]] = {}
         # Also held by auto_deploy across choosing a deployment and deploying.
@@ -331,7 +331,7 @@ class ServiceRegistry:
                 if name in self._by_name:
                     raise DeploymentError(f"service name already in use: {name}")
             guid = guid_new(self._guid_source)
-            if guid in self._by_guid:
+            if guid.hex in self._by_guid:
                 raise GuidCollisionError(f"GUID collision: {guid.hex}")
 
             skeleton = Skeleton(
@@ -341,7 +341,7 @@ class ServiceRegistry:
                 guid=guid,
                 service_name=name,
             )
-            self._by_guid[guid] = skeleton
+            self._by_guid[guid.hex] = skeleton
             if name is not None:
                 self._by_name[name] = skeleton
             self._by_object.setdefault(id(obj), []).append(skeleton)
@@ -370,21 +370,16 @@ class ServiceRegistry:
     def lookup(self, name_or_guid: str) -> Skeleton:
         """Exact-match, case-sensitive service lookup by name or canonical GUID."""
         with self.lock:
-            sk = self._by_name.get(name_or_guid)
-            if sk is not None:
-                return sk
-            try:
-                guid = GUID.parse(name_or_guid)
-            except ValueError:
-                raise ServiceNotFound(f"no service named {name_or_guid!r}") from None
-            sk = self._by_guid.get(guid)
-            if sk is None:
-                raise ServiceNotFound(f"no service with GUID {name_or_guid}")
+            sk = self._by_name.get(name_or_guid) or self._by_guid.get(name_or_guid)
+        if sk is not None:
             return sk
+        if _is_guid_text(name_or_guid):
+            raise ServiceNotFound(f"no service with GUID {name_or_guid}")
+        raise ServiceNotFound(f"no service named {name_or_guid!r}")
 
     def lookup_guid(self, guid: GUID) -> Skeleton | None:
         with self.lock:
-            return self._by_guid.get(guid)
+            return self._by_guid.get(guid.hex)
 
     def deployments_of(self, obj: object) -> list[Skeleton]:
         with self.lock:
@@ -394,7 +389,7 @@ class ServiceRegistry:
         """Tear a service down; GUIDs are never reused."""
         with self.lock:
             sk = self.lookup(name_or_guid)
-            del self._by_guid[sk.guid]
+            del self._by_guid[sk.guid.hex]
             if sk.service_name is not None:
                 self._by_name.pop(sk.service_name, None)
             lst = self._by_object.get(id(sk.service_object))

@@ -4,8 +4,9 @@ method invocation.
 
 Functions here take the owning runtime node as their first argument; a node
 provides `types`, `services`, `policy`, `proxy_cache`, `references`, `http`,
-`endpoint` and `config`, plus `handle_network_fault` and `observe_decision`
-hooks. Every outbound request goes through the node's `HttpClient`. A
+`endpoint`, `config` and `decision_observer`, which is called with each
+transmission decision when it is set, plus the `handle_network_fault` hook.
+Every outbound request goes through the node's `HttpClient`. A
 handle's class, one per set of interface method names, has a method for each
 interface method. A handle serves the accessors of its cached fields from
 its snapshot; `registry.accessor_of` decides which methods those are, once
@@ -300,10 +301,14 @@ def _handle_class(method_names: frozenset[str]) -> type[Handle]:
     """Build the handle class for a set of interface method names.
 
     It has one forwarding method per name, except names that ``Handle``
-    already has: those keep their meaning, and such a method is reached
-    through ``invoke``.
+    already has and special names (``__x__``): those keep their meaning, so
+    a peer's interface cannot change how Python builds, tests or frees a
+    handle. Such a method is reached through ``invoke``.
     """
-    methods = {name: _forwarder(name) for name in method_names if not hasattr(Handle, name)}
+    methods = {
+        name: _forwarder(name) for name in method_names
+        if not hasattr(Handle, name) and not (name.startswith("__") and name.endswith("__"))
+    }
     cls = type("Handle", (Handle,), methods)
     _HANDLE_CLASSES.put(method_names, cls)
     return cls
@@ -318,7 +323,7 @@ def _forwarder(method: str):
 
 
 class ProxyCache:
-    """At most one live handle per remote GUID per node.
+    """At most one live handle per remote GUID per node, keyed by its text.
 
     Handles are held weakly: one the application no longer holds is freed,
     and the next reference to its GUID gets a fresh handle. So a peer that
@@ -327,24 +332,25 @@ class ProxyCache:
     """
 
     def __init__(self):
-        self._handles: weakref.WeakValueDictionary[GUID, Handle] = weakref.WeakValueDictionary()
+        self._handles: weakref.WeakValueDictionary[str, Handle] = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
 
     def get_or_create(self, rior: RIOR, node) -> Handle:
         """The live handle for the reference's GUID, or a new one built from it."""
+        guid = rior.guid.hex
         with self._lock:
-            handle = self._handles.get(rior.guid)
+            handle = self._handles.get(guid)
         if handle is not None:
             return handle
         # Built unlocked: a handle's snapshot can hold references, which come
         # back here. The first handle published for a GUID is the one kept.
         handle = Handle(rior, node)
         with self._lock:
-            return self._handles.setdefault(rior.guid, handle)
+            return self._handles.setdefault(guid, handle)
 
     def get(self, guid: GUID) -> Handle | None:
         with self._lock:
-            return self._handles.get(guid)
+            return self._handles.get(guid.hex)
 
     def __len__(self) -> int:
         with self._lock:
@@ -432,11 +438,13 @@ def remote_invoke(node, handle: Handle, method: str, args: Sequence[object]) -> 
     md = plan.method
 
     encoder = value_encoder(node)
+    observer = node.decision_observer  # read once: another thread may reset it
     wire_args = []
     for i, value in enumerate(args):
         actual = actual_type_name_of(node, value)
         decision = node.policy.decide(iface.type_name, method, i, actual, "rrt")
-        node.observe_decision("arg", actual, decision)
+        if observer is not None:
+            observer("arg", actual, decision)
         wire_args.append(encoder.encode(value, decision, md.params[i]))
 
     target = handle.rior.guid.hex
@@ -532,12 +540,11 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
     before a restart) is never sent: it is rebuilt, as an evicted one is.
     """
     endpoint = require_endpoint(node)
-    guid = skeleton.guid.value.hex()  # GUID.hex, without a call on the warm path
-    rior = node.references.get(guid)
+    rior = node.references.get(skeleton.guid.hex)
     iface = skeleton.interface_descriptor
     if rior is None or rior.endpoint is not endpoint:
         rior = RIOR(endpoint, skeleton.guid, skeleton.service_name, iface)
-        node.references.put(guid, rior)
+        node.references.put(skeleton.guid.hex, rior)
     cached = node.policy.cached_field_names(skeleton.concrete.descriptor.type_name, iface)
     if not cached:
         return rior

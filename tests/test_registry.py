@@ -320,8 +320,15 @@ class TestLookup:
             services.lookup("p2p")
 
     def test_missing(self, services):
-        with pytest.raises(ServiceNotFound):
-            services.lookup("nope")
+        services.deploy(P2PNode(Key("k")), IP2PNODE, "P2P")
+        for name_or_guid, message in (
+            ("nope", "no service named 'nope'"),
+            ("AB" * 16, f"no service named '{'AB' * 16}'"),  # GUID text is lower case
+            ("ab" * 16, f"no service with GUID {'ab' * 16}"),
+        ):
+            with pytest.raises(ServiceNotFound) as caught:
+                services.lookup(name_or_guid)
+            assert str(caught.value) == message
 
     def test_undeploy(self, services):
         services.deploy(P2PNode(Key("k")), IP2PNODE, "P2P")
