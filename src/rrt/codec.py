@@ -1,28 +1,29 @@
 """Bit-exact wire representation of values, references, requests and responses.
 
-A wire value is its canonical v1 document: a dict whose ``k`` discriminator
-names a primitive, an inlined object with an intra-message id, a
-back-reference (which keeps aliasing and cycles), a sequence, or a remote
-reference. The encoder walks a live graph straight into these documents and
-the decoder builds live objects straight from parsed ones. Every document
-has a fixed key order, so identical inputs always produce identical bytes.
+A wire value is its canonical v1 document: a JSON object whose ``k``
+discriminator names a primitive, an inlined object with an intra-message id,
+a back-reference (which keeps aliasing and cycles), a sequence, or a remote
+reference. The encoder walks a live graph and writes the document's
+canonical JSON text as it goes, and the envelope functions write their heads
+around those texts; the decoder builds live objects straight from parsed
+documents. Every document has a fixed key order, so identical inputs always
+produce identical bytes.
 
-The stdlib JSON encoder and decoder recurse, so objects and sequences nest at
-most ``MAX_NESTING`` levels deep: past it, encoding raises
+The encoder and the stdlib JSON decoder recurse, so objects and sequences
+nest at most ``MAX_NESTING`` levels deep: past it, encoding raises
 ``WireFormatError`` and decoding raises ``ProtocolError``.
 
 The codec is stateless between messages; per-message state (the seen-object
-table, the id counter) is confined to one call. Only a reference's document
-and its canonical JSON text outlive a message: the codec alone builds them,
-each the first time anything needs it, and keeps them on the immutable
-``RIOR``, so every message that carries the reference shares them. The
-encoder notes each reference it sends, and ``encode_request`` and
-``encode_response`` splice its text into the envelope bytes.
+table, the id counter) is confined to one call. Only a reference's canonical
+JSON text outlives a message: the codec alone builds it, from the ``RIOR``'s
+parts, the first time the reference is sent, and keeps it on the immutable
+``RIOR``, so every message that carries the reference shares it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -59,24 +60,28 @@ REFERENCE_MEMO_LIMIT = 64
 #: Longest host or service name of a reference document a node remembers.
 REMEMBERED_TEXT_LIMIT = 256
 
-_TAG_OF_TYPE = {type(None): "null", bool: "bool", int: "i64", float: "f64", str: "str"}
 
-
-def _prim_doc(value: object) -> dict | None:
-    """The document of a primitive value, or None when the value is not one."""
-    tag = _TAG_OF_TYPE.get(type(value))
-    if tag is None:  # subclasses of int, float and str travel as their base
-        if not isinstance(value, (int, float, str)):
-            return None
-        if isinstance(value, int):
-            tag = "i64"
-        else:
-            tag = "f64" if isinstance(value, float) else "str"
-    if tag == "null":
-        return {"k": "prim", "t": "null"}
-    if tag == "i64" and not I64_MIN <= value <= I64_MAX:
-        raise WireFormatError(f"integer out of 64-bit range: {value}")
-    return {"k": "prim", "t": tag, "v": value}
+def _prim_text(value: object) -> str | None:
+    """The text of a primitive value's document, or None when the value is
+    not one. Subclasses of int, float and str travel as their base, written
+    as the JSON encoder writes them."""
+    if value is None:
+        return '{"k":"prim","t":"null"}'
+    if value is True:
+        return '{"k":"prim","t":"bool","v":true}'
+    if value is False:
+        return '{"k":"prim","t":"bool","v":false}'
+    if isinstance(value, str):
+        return '{"k":"prim","t":"str","v":%s}' % encode_basestring(value)
+    if isinstance(value, int):
+        if not I64_MIN <= value <= I64_MAX:
+            raise WireFormatError(f"integer out of 64-bit range: {value}")
+        return '{"k":"prim","t":"i64","v":%s}' % int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            canonical_text(value)  # raises the JSON encoder's own error
+        return '{"k":"prim","t":"f64","v":%s}' % float.__repr__(value)
+    return None
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class Fault:
 class Request:
     target: str
     method: str
-    args: tuple[dict, ...] = ()
+    args: tuple[dict | str, ...] = ()  # wire documents, or texts MessageEncoder wrote
     peer_kind: str = "rrt"
 
     def __post_init__(self):
@@ -102,7 +107,7 @@ class Request:
 @dataclass(frozen=True)
 class Response:
     ok: bool
-    result: dict | None = None
+    result: dict | str | None = None  # as in Request.args
     fault: Fault | None = None
 
     def __post_init__(self):
@@ -118,20 +123,21 @@ class Response:
 # A deploy callback turns an escaping object into a remote reference:
 # deploy_ref(obj, signature_type_name) -> RIOR.
 DeployRef = Callable[[object, str | None], RIOR]
-ResolveRef = Callable[[RIOR], object]
+# A resolver turns an incoming reference into a live value:
+# resolve_ref(rior, nesting) -> object, where ``nesting`` is the level its
+# snapshot's values are decoded at.
+ResolveRef = Callable[[RIOR, int], object]
 
 
 class MessageEncoder:
-    """Encodes the value positions of one message under a shared object table.
+    """Writes the value positions of one message under a shared object table.
 
-    Wire-object ids are unique within the message and assigned in
-    first-encounter preorder starting at 0, so an object repeated across
-    positions (or within one graph) becomes a back-reference and aliasing
-    survives the wire.
-
-    Each reference is sent as the document its ``RIOR`` keeps and noted, so
-    ``encode_request`` and ``encode_response``, given this encoder, splice
-    in that document's text instead of encoding it again.
+    ``encode`` returns a position's canonical JSON text, written while the
+    live graph is walked. Wire-object ids are unique within the message and
+    assigned in first-encounter preorder starting at 0, so an object
+    repeated across positions (or within one graph) becomes a back-reference
+    and aliasing survives the wire. A reference is written as the text its
+    ``RIOR`` keeps. The first fault met in walk order is the one raised.
     """
 
     def __init__(self, registry, deploy_ref: DeployRef | None = None):
@@ -139,77 +145,96 @@ class MessageEncoder:
         self._deploy_ref = deploy_ref
         self._seen: dict[int, int] = {}  # id(live object) -> wire-object id
         self._open_seqs: set[int] = set()
-        self._refs: list[tuple[dict, RIOR]] = []  # (ref document, RIOR keeping its "rior")
 
     def encode(
         self,
         value: object,
         decision: TransmissionDecision,
         declared_type: str | None = None,
-    ) -> dict:
+    ) -> str:
+        text = _prim_text(value)
+        if text is not None:
+            return text
+        out: list[str] = []
         if decision.kind is PolicyKind.BY_REFERENCE:
-            return _prim_doc(value) or self._as_ref(value, declared_type, 0)
-        return _prim_doc(value) or self._inline(value, 1, decision.depth, declared_type, 0)
+            self._as_ref(value, declared_type, 0, out)
+        else:
+            self._inline(value, 1, decision.depth, declared_type, 0, out)
+        return "".join(out)
 
-    # _as_ref and _inline take non-primitive values: callers try _prim_doc first.
+    # _as_ref and _inline take non-primitive values and append their text to
+    # ``out``: callers try _prim_text first.
 
-    def _as_ref(self, value: object, signature: str | None, nesting: int) -> dict:
+    def _as_ref(self, value: object, signature: str | None, nesting: int, out: list) -> None:
         if isinstance(value, (list, tuple)):
-            return self._seq(
-                value, nesting, lambda v, n: _prim_doc(v) or self._as_ref(v, None, n)
-            )
-        return self._ref(value, signature)
+            self._seq(value, nesting, out, lambda v, n: self._as_ref(v, None, n, out))
+        else:
+            self._ref(value, signature, out)
 
     def _inline(
-        self, value, level: int, depth, signature: str | None, nesting: int
-    ) -> dict:
+        self, value, level: int, depth, signature: str | None, nesting: int, out: list
+    ) -> None:
         if isinstance(value, RemoteProxyBase):
-            return self._ref(value, signature)
+            return self._ref(value, signature, out)
         if isinstance(value, (list, tuple)):
             return self._seq(
-                value,
-                nesting,
-                lambda v, n: _prim_doc(v) or self._inline(v, level, depth, None, n),
+                value, nesting, out, lambda v, n: self._inline(v, level, depth, None, n, out)
             )
         prior = self._seen.get(id(value))
         if prior is not None:
-            return {"k": "backref", "id": prior}
-        descriptor = self._registry.type_of(value).descriptor
+            out.append('{"k":"backref","id":%d}' % prior)
+            return
+        rt = self._registry.type_of(value)
         if depth is not UNBOUNDED and level > depth:
-            return self._ref(value, signature or descriptor.type_name)
+            return self._ref(value, signature or rt.descriptor.type_name, out)
         _check_nesting(nesting, WireFormatError)
         oid = len(self._seen)
         self._seen[id(value)] = oid
-        fields = {}
-        for f in descriptor.fields:
+        head, fields = rt.object_texts
+        out += (head, str(oid), ',"fields":{')
+        for name, key, type_name in fields:
             try:
-                raw = getattr(value, f.name)
+                raw = getattr(value, name)
             except AttributeError:
                 raise WireFormatError(
-                    f"{descriptor.type_name}.{f.name}: live object has no such field"
+                    f"{rt.descriptor.type_name}.{name}: live object has no such field"
                 ) from None
-            kind = type(raw)  # the commonest primitives, written as _prim_doc would
+            kind = type(raw)  # the commonest primitives, written as _prim_text would
             if kind is str:
-                fields[f.name] = {"k": "prim", "t": "str", "v": raw}
+                out += (key, '{"k":"prim","t":"str","v":%s}' % encode_basestring(raw))
             elif kind is int and I64_MIN <= raw <= I64_MAX:
-                fields[f.name] = {"k": "prim", "t": "i64", "v": raw}
+                out += (key, '{"k":"prim","t":"i64","v":%d}' % raw)
             else:
-                fields[f.name] = _prim_doc(raw) or self._inline(
-                    raw, level + 1, depth, f.type_name, nesting + 1
-                )
-        return {"k": "obj", "class": descriptor.type_name, "id": oid, "fields": fields}
+                out.append(key)
+                text = _prim_text(raw)
+                if text is None:
+                    self._inline(raw, level + 1, depth, type_name, nesting + 1, out)
+                else:
+                    out.append(text)
+        out.append("}}")
 
-    def _seq(self, value, nesting: int, item: Callable[[object, int], dict]) -> dict:
+    def _seq(self, value, nesting: int, out: list, item: Callable[[object, int], None]) -> None:
+        """Write a sequence; ``item(element, nesting)`` writes each element
+        that is not a primitive."""
         if id(value) in self._open_seqs:
             raise WireFormatError("sequences may not contain themselves")
         _check_nesting(nesting, WireFormatError)
         self._open_seqs.add(id(value))
         try:
-            return {"k": "seq", "elements": [item(v, nesting + 1) for v in value]}
+            out.append('{"k":"seq","elements":[')
+            for i, v in enumerate(value):
+                if i:
+                    out.append(",")
+                text = _prim_text(v)
+                if text is None:
+                    item(v, nesting + 1)
+                else:
+                    out.append(text)
+            out.append("]}")
         finally:
             self._open_seqs.discard(id(value))
 
-    def _ref(self, value: object, signature: str | None) -> dict:
+    def _ref(self, value: object, signature: str | None, out: list) -> None:
         if isinstance(value, RemoteProxyBase):
             rior = value.rior
         elif self._deploy_ref is None:
@@ -218,79 +243,28 @@ class MessageEncoder:
             )
         else:
             rior = self._deploy_ref(value, signature)
-        ref = {"k": "ref", "rior": rior._doc or _reference_doc(rior, self._registry)}
-        self._refs.append((ref, rior))
-        return ref
-
-    def _message_bytes(self, envelope: dict) -> bytes:
-        """``canonical_bytes(envelope)`` for an envelope made of this encoder's
-        documents, with each reference document spliced in as its text.
-
-        The reference documents are swapped for a marker while the rest is
-        encoded, then put back. An envelope with more markers than
-        references, or that fails to encode, takes ``canonical_bytes`` whole,
-        so its bytes and errors are that call's.
-        """
-        refs = self._refs
-        if not refs:
-            return canonical_bytes(envelope)
-        for ref, rior in refs:
-            if ref.get("rior") is not rior._doc:  # changed by the caller
-                return canonical_bytes(envelope)
-        try:
-            try:
-                for ref, _ in refs:
-                    ref["rior"] = 0
-                parts = _JSON.encode(envelope).encode("utf-8").split(_MARK)
-            finally:
-                for ref, rior in refs:
-                    ref["rior"] = rior._doc
-            if len(parts) != len(refs) + 1:  # a marker the envelope itself holds
-                return canonical_bytes(envelope)
-            pieces = [parts[0]]
-            for (_, rior), part in zip(refs, parts[1:]):
-                pieces += (b'"rior":', rior._text or reference_text(rior, self._registry),
-                           b"}", part)
-        except (ValueError, TypeError, RecursionError, WireFormatError):
-            return canonical_bytes(envelope)  # raises the whole envelope's error
-        return b"".join(pieces)
+        out += ('{"k":"ref","rior":', rior._text or reference_text(rior, self._registry), "}")
 
 
-def _reference_doc(rior: RIOR, registry) -> dict:
-    """Build the RIOR's wire document and keep it (``RIOR._doc``), for its
-    first use; a registered interface shares the registry's document. Of
-    two threads that build it at once, both get the first one kept."""
-    rt = registry.lookup(rior.interface_descriptor.type_name)
-    registered = rt is not None and rt.descriptor is rior.interface_descriptor
-    doc = rior_to_doc(rior, rt.descriptor_doc if registered else None)
-    return _keep(rior, "_doc", doc)
-
-
-def reference_text(rior: RIOR, registry) -> bytes:
-    """The canonical JSON of the RIOR's document, built at its first use from
-    its parts, in ``rior_to_doc``'s key order, and kept on it
-    (``RIOR._text``). Text is escaped as ``_JSON`` escapes it; a registered
-    interface's text is its type's; the cache section is encoded only when
-    it holds a snapshot."""
+def reference_text(rior: RIOR, registry) -> str:
+    """The canonical JSON of the RIOR's document, written at its first use
+    from its parts, in ``rior_to_doc``'s key order, and kept on it
+    (``RIOR._text``); a registered interface's text is its type's. Of two
+    threads that build it at once, both get the first one kept."""
     text = rior._text
     if text is None:
-        doc = rior._doc or _reference_doc(rior, registry)
-        port, name, iface, cache = doc["port"], doc["name"], doc["iface"], doc["cache"]
-        head = '{"host":%s,"port":%s,"guid":%s,"name":%s,"iface":' % (
-            encode_basestring(doc["host"]),
-            port if type(port) is int else _JSON.encode(port),
-            encode_basestring(doc["guid"]),
-            "null" if name is None else encode_basestring(name),
+        iface = rior.interface_descriptor
+        rt = registry.lookup(iface.type_name)
+        text = '{"host":%s,"port":%s,"guid":%s,"name":%s,"iface":%s,"cache":%s}' % (
+            canonical_text(rior.endpoint.host),
+            canonical_text(rior.endpoint.port),
+            canonical_text(rior.guid.hex),
+            canonical_text(rior.service_name),
+            rt.descriptor_text if rt is not None and rt.descriptor is iface
+            else canonical_text(descriptor_to_doc(iface)),
+            canonical_text(_cache_doc(rior.cached_field_snapshot)),
         )
-        rt = registry.lookup(iface["name"])
-        text = _keep(rior, "_text", b"".join((
-            head.encode("utf-8"),
-            rt.descriptor_text if rt is not None and rt.descriptor_doc is iface
-            else canonical_bytes(iface),
-            b',"cache":',
-            canonical_bytes(cache) if cache["accessors"] else _NO_SNAPSHOT_TEXT,
-            b"}",
-        )))
+        text = _keep(rior, "_text", text)
     return text
 
 
@@ -309,13 +283,6 @@ def _keep(rior: RIOR, name: str, value):
     return kept
 
 
-# Stands in for a reference document while an envelope is encoded. Inside
-# a JSON string every quote is escaped, so it can only come from a document
-# whose last key is "rior" with the value 0.
-_MARK = b'"rior":0}'
-_NO_SNAPSHOT_TEXT = b'{"fields":{},"accessors":[]}'
-
-
 def _check_nesting(nesting: int, error: type[Exception]) -> None:
     """Refuse one more level of object or sequence past ``MAX_NESTING``."""
     if nesting >= MAX_NESTING:
@@ -330,7 +297,8 @@ def encode_value(
     deploy_ref: DeployRef | None = None,
     declared_type: str | None = None,
 ) -> dict:
-    """Encode one standalone value position under a transmission decision.
+    """Encode one standalone value position under a transmission decision,
+    as the document parsed from the text ``MessageEncoder`` writes.
 
     By-reference positions become remote references through the deploy
     callback. By-value positions inline the object closure: the root sits at
@@ -338,10 +306,8 @@ def encode_value(
     references, and repeated objects become back-references so aliasing and
     cycles survive. Sequences are transparent containers (copied, elements
     encoded at the enclosing level). Primitives always travel as primitives.
-    A reference's document in the result is the one its RIOR keeps for
-    every message (``RIOR._doc``): change a copy of it, not it.
     """
-    return MessageEncoder(registry, deploy_ref).encode(value, decision, declared_type)
+    return json.loads(MessageEncoder(registry, deploy_ref).encode(value, decision, declared_type))
 
 
 class MessageDecoder:
@@ -353,7 +319,9 @@ class MessageDecoder:
     populated field by field; back-references restore aliasing and cycles.
     Remote references are parsed through ``references`` when given, else in
     full, and then go through the resolver (loop-back, proxy cache, or a new
-    handle).
+    handle). A reference's snapshot values nest two levels below it, in its
+    cache section, so references cached in each other's snapshots count
+    against ``MAX_NESTING`` too.
     """
 
     def __init__(
@@ -367,8 +335,8 @@ class MessageDecoder:
         self._references = references
         self._table: dict[int, object] = {}
 
-    def decode(self, doc: object) -> object:
-        return self._decode(doc, 0)
+    def decode(self, doc: object, nesting: int = 0) -> object:
+        return self._decode(doc, nesting)
 
     def _decode(self, doc: object, nesting: int) -> object:
         if not isinstance(doc, dict) or "k" not in doc:
@@ -395,7 +363,9 @@ class MessageDecoder:
                 rior = doc_to_rior(rior_doc, self._registry)
             if self._resolve_ref is None:
                 raise ProtocolError("remote reference arrived without a resolver")
-            return self._resolve_ref(rior)
+            if rior.cached_field_snapshot:
+                _check_nesting(nesting + 1, ProtocolError)
+            return self._resolve_ref(rior, nesting + 2)
         raise ProtocolError(f"unknown wire discriminator {kind!r}")
 
     def _object(self, doc: dict, nesting: int) -> object:
@@ -452,7 +422,10 @@ def _prim_value(doc: dict) -> object:
     if tag == "f64":
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ProtocolError(f"f64 primitive requires a number, got {v!r}")
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:
+            raise ProtocolError("f64 primitive out of the float range") from None
     if not isinstance(v, bool):
         raise ProtocolError(f"bool primitive requires a boolean, got {v!r}")
     return v
@@ -476,19 +449,32 @@ def decode_value(
 _JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
 
 
-def canonical_bytes(doc: object) -> bytes:
+def canonical_text(doc: object) -> str:
     try:
-        return _JSON.encode(doc).encode("utf-8")
+        return _JSON.encode(doc)
     except ValueError as exc:
         raise WireFormatError(f"value not representable in JSON: {exc}") from exc
     except RecursionError as exc:
         raise WireFormatError(f"document nests too deeply for JSON: {exc}") from exc
 
 
+def canonical_bytes(doc: object) -> bytes:
+    return _utf8(canonical_text(doc))
+
+
+def _utf8(text: str) -> bytes:
+    """The text as UTF-8; text UTF-8 cannot carry (a lone surrogate) fails
+    as the JSON encoder's text would."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise WireFormatError(f"value not representable in JSON: {exc}") from exc
+
+
 def _parse_json(data: bytes) -> object:
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to convert
         raise ProtocolError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise ProtocolError(f"JSON nests too deeply: {exc}") from exc
@@ -551,19 +537,20 @@ def doc_to_descriptor(doc: object) -> TypeDescriptor:
 def rior_to_doc(rior: RIOR, iface_doc: dict | None = None) -> dict:
     """The reference's wire document, built anew. ``iface_doc`` is the
     interface's document, if already built; the result then shares it."""
-    # Cache keys are emitted sorted so equal references always yield equal bytes.
-    names = sorted(rior.cached_field_snapshot)
     return {
         "host": rior.endpoint.host,
         "port": rior.endpoint.port,
         "guid": rior.guid.hex,
         "name": rior.service_name,
         "iface": iface_doc or descriptor_to_doc(rior.interface_descriptor),
-        "cache": {
-            "fields": {n: rior.cached_field_snapshot[n] for n in names},
-            "accessors": names,
-        },
+        "cache": _cache_doc(rior.cached_field_snapshot),
     }
+
+
+def _cache_doc(snapshot: dict) -> dict:
+    # Cache keys are emitted sorted so equal references always yield equal bytes.
+    names = sorted(snapshot)
+    return {"fields": {n: snapshot[n] for n in names}, "accessors": names}
 
 
 def doc_to_rior(doc: object, registry=None) -> RIOR:
@@ -639,7 +626,7 @@ class ReferenceMemo(Recent):
     snapshot (whose values equality cannot check either), of a registered
     interface, and with a host and name within ``REMEMBERED_TEXT_LIMIT``.
     The RIOR's own document is the one it would send, built at the first
-    repeat or sending, not the one received.
+    repeat and kept on it (``RIOR._doc``), not the one received.
     """
 
     def __init__(self, registry):
@@ -649,13 +636,15 @@ class ReferenceMemo(Recent):
     def parse(self, doc: object) -> RIOR:
         guid = doc.get("guid") if type(doc) is dict else None
         kept = self.get(guid) if type(guid) is str else None
-        if (
-            kept is not None
-            and (kept._doc or _reference_doc(kept, self._registry)) == doc
-            and type(doc["port"]) is int
-            and _flags_typed(doc["iface"])
-        ):
-            return kept
+        if kept is not None:
+            kept_doc = kept._doc
+            if kept_doc is None:  # a registered interface shares its type's document
+                rt = self._registry.lookup(kept.interface_descriptor.type_name)
+                registered = rt is not None and rt.descriptor is kept.interface_descriptor
+                kept_doc = rior_to_doc(kept, rt.descriptor_doc if registered else None)
+                kept_doc = _keep(kept, "_doc", kept_doc)
+            if kept_doc == doc and type(doc["port"]) is int and _flags_typed(doc["iface"]):
+                return kept
         rior = doc_to_rior(doc, self._registry)
         rt = self._registry.lookup(rior.interface_descriptor.type_name)
         if (
@@ -689,17 +678,19 @@ def _req(doc: dict, key: str, typ: type):
 # -- envelopes ---------------------------------------------------------------
 
 
-def encode_request(req: Request, encoder: MessageEncoder | None = None) -> bytes:
-    """The request's bytes; over ``MAX_REQUEST_BYTES`` no node would accept them.
-    ``encoder``, the one that built ``req.args``, splices in its kept references."""
-    doc = {
-        "rrt": RRT_VERSION,
-        "target": req.target,
-        "method": req.method,
-        "args": list(req.args),
-        "peer": req.peer_kind,
-    }
-    data = canonical_bytes(doc) if encoder is None else encoder._message_bytes(doc)
+def encode_request(req: Request) -> bytes:
+    """The request's bytes; over ``MAX_REQUEST_BYTES`` no node would accept them."""
+    target, method = req.target, req.method
+    args = []
+    for value in req.args:
+        args.append(value if type(value) is str else canonical_text(value))
+    data = _utf8('{"rrt":%d,"target":%s,"method":%s,"args":[%s],"peer":%s}' % (
+        RRT_VERSION,
+        encode_basestring(target) if type(target) is str else canonical_text(target),
+        encode_basestring(method) if type(method) is str else canonical_text(method),
+        ",".join(args),
+        encode_basestring(req.peer_kind),
+    ))
     if len(data) > MAX_REQUEST_BYTES:
         raise WireFormatError(
             f"request of {len(data)} bytes is over the {MAX_REQUEST_BYTES}-byte limit"
@@ -725,12 +716,11 @@ def decode_request(data: bytes) -> Request:
     )
 
 
-def encode_response(resp: Response, encoder: MessageEncoder | None = None) -> bytes:
-    """The response's bytes. ``encoder``, the one that built ``resp.result``,
-    splices in its kept references."""
+def encode_response(resp: Response) -> bytes:
     if resp.ok:
-        doc = {"ok": True, "result": resp.result}
-        return canonical_bytes(doc) if encoder is None else encoder._message_bytes(doc)
+        result = resp.result
+        return _utf8('{"ok":true,"result":%s}' % (
+            result if type(result) is str else canonical_text(result)))
     return canonical_bytes(
         {
             "ok": False,

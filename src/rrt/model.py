@@ -212,10 +212,11 @@ class RIOR:
     document of its value, recorded immediately before the reference was sent.
     """
 
-    # The wire document and its canonical JSON, built by the codec alone at
-    # their first use (``codec._reference_doc``, ``codec.reference_text``).
-    # Every message that carries the reference shares them, so no one may
-    # change them. Not fields: equality and repr ignore them.
+    # The canonical JSON text every message carrying the reference writes,
+    # built from the fields (``codec.reference_text``), and the document a
+    # received one is compared with (``codec.ReferenceMemo.parse``): built by
+    # the codec alone at their first use and shared, so no one may change
+    # them. Not fields: equality and repr ignore them.
     _doc = None
     _text = None
 

@@ -291,9 +291,8 @@ class RRTNode:
             observer = self.decision_observer  # read once, as remote_invoke does
             if observer is not None:
                 observer("return", actual, decision)
-            encoder = remote.value_encoder(self)
-            wire = encoder.encode(result, decision, plan.method.return_type)
-            return codec.encode_response(Response(ok=True, result=wire), encoder)
+            wire = remote.value_encoder(self).encode(result, decision, plan.method.return_type)
+            return codec.encode_response(Response(ok=True, result=wire))
         except ApplicationFault as exc:
             fault = Fault("application", exc.fault_class, exc.message)
         except Exception as exc:  # noqa: BLE001 - the endpoint never aborts
@@ -373,7 +372,8 @@ class _Connection:
         node = self.node
         try:
             rior = remote.build_rior(node, node.services.lookup(service_id))
-            self._send(200, codec.reference_text(rior, node.types), "application/json")
+            text = codec.reference_text(rior, node.types)
+            self._send(200, text.encode("utf-8"), "application/json")
         except ServiceNotFound as exc:
             self._send_json(404, {"error": str(exc)})
         except RRTError as exc:

@@ -14,9 +14,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import Callable, Sequence
 
-from .codec import canonical_bytes, descriptor_to_doc
+from .codec import canonical_text, descriptor_to_doc
 from .errors import (
     ApplicationFault,
     DeploymentError,
@@ -171,9 +172,23 @@ class RegisteredType:
         return descriptor_to_doc(self.descriptor)
 
     @cached_property
-    def descriptor_text(self) -> bytes:
+    def descriptor_text(self) -> str:
         """``descriptor_doc``'s canonical JSON, built once per registered type."""
-        return canonical_bytes(self.descriptor_doc)
+        return canonical_text(self.descriptor_doc)
+
+    @cached_property
+    def object_texts(self) -> tuple[str, tuple[tuple[str, str, str], ...]]:
+        """The constant text of an inlined object of this type, built once:
+        its head up to its id, and per field its name, the text written
+        before its value (its key, after a comma from the second on) and
+        its declared type."""
+        desc = self.descriptor
+        head = '{"k":"obj","class":%s,"id":' % encode_basestring(desc.type_name)
+        fields = tuple(
+            (f.name, ("," if i else "") + encode_basestring(f.name) + ":", f.type_name)
+            for i, f in enumerate(desc.fields)
+        )
+        return head, fields
 
 
 class TypeRegistry:

@@ -15,7 +15,7 @@ per method, in its call plan. A handle without a snapshot holds no lock.
 A node's one reference table, `node.references` (`codec.ReferenceMemo`),
 holds by GUID the reference last sent for each own service and the one last
 accepted for each peer's: a repeated reference costs a lookup, not a
-rebuild or a parse. Its document and text are the codec's.
+rebuild or a parse. The codec writes its text once and keeps it on it.
 """
 
 from __future__ import annotations
@@ -251,21 +251,22 @@ class Handle(RemoteProxyBase):
     fields are served from the local snapshot and never touch the network.
     """
 
-    def __new__(cls, rior: RIOR, node):
+    def __new__(cls, rior: RIOR, node, nesting: int = 0):
         if cls is Handle:
             names = rior.interface_descriptor.method_names
             cls = _HANDLE_CLASSES.get(names) or _handle_class(names)
         return object.__new__(cls)
 
-    def __init__(self, rior: RIOR, node):
+    def __init__(self, rior: RIOR, node, nesting: int = 0):
         self.rior = rior
         self._node = node
         self.cached_fields: dict[str, object] = {}
         if rior.cached_field_snapshot:
             self._cache_lock = threading.Lock()
-            # One decoder per field: each field's document numbers its own objects.
+            # One decoder per field: each field's document numbers its own
+            # objects. They nest ``nesting`` levels deep in the message.
             for name, doc in rior.cached_field_snapshot.items():
-                self.cached_fields[name] = value_decoder(node).decode(doc)
+                self.cached_fields[name] = value_decoder(node).decode(doc, nesting)
 
     @property
     def interface_name(self) -> str:
@@ -335,8 +336,9 @@ class ProxyCache:
         self._handles: weakref.WeakValueDictionary[str, Handle] = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
 
-    def get_or_create(self, rior: RIOR, node) -> Handle:
-        """The live handle for the reference's GUID, or a new one built from it."""
+    def get_or_create(self, rior: RIOR, node, nesting: int = 0) -> Handle:
+        """The live handle for the reference's GUID, or a new one built from
+        it, whose snapshot values nest ``nesting`` levels deep."""
         guid = rior.guid.hex
         with self._lock:
             handle = self._handles.get(guid)
@@ -344,7 +346,7 @@ class ProxyCache:
             return handle
         # Built unlocked: a handle's snapshot can hold references, which come
         # back here. The first handle published for a GUID is the one kept.
-        handle = Handle(rior, node)
+        handle = Handle(rior, node, nesting)
         with self._lock:
             return self._handles.setdefault(guid, handle)
 
@@ -369,19 +371,20 @@ def value_decoder(node) -> codec.MessageDecoder:
     )
 
 
-def resolve_incoming_rior(node, rior: RIOR) -> object:
+def resolve_incoming_rior(node, rior: RIOR, nesting: int = 0) -> object:
     """Turn an incoming remote reference into something the application can use.
 
     A reference that denotes a service in this node's own address space
     loops back to the live object itself; otherwise the per-GUID cache
     either supplies the existing handle or a new one is built with its
-    cached fields initialized from the reference's snapshot.
+    cached fields initialized from the reference's snapshot, whose values
+    nest ``nesting`` levels deep in the message.
     """
     if rior.endpoint == node.endpoint:
         skeleton = node.services.lookup_guid(rior.guid)
         if skeleton is not None:
             return skeleton.service_object
-    return node.proxy_cache.get_or_create(rior, node)
+    return node.proxy_cache.get_or_create(rior, node, nesting)
 
 
 def get_object_by_name(node, host: str, port: int, name: str) -> object:
@@ -448,7 +451,7 @@ def remote_invoke(node, handle: Handle, method: str, args: Sequence[object]) -> 
         wire_args.append(encoder.encode(value, decision, md.params[i]))
 
     target = handle.rior.guid.hex
-    body = codec.encode_request(Request(target, method, wire_args), encoder)
+    body = codec.encode_request(Request(target, method, wire_args))
     try:
         raw = node.http.request(handle.rior.endpoint, "POST", f"/invoke/{target}", body)
     except NetworkFault as fault:
@@ -558,5 +561,7 @@ def build_rior(node, skeleton: Skeleton) -> RIOR:
                 "live object has no such field"
             ) from None
         field_type = iface.field(fname).type_name
-        snapshot[fname] = value_encoder(node).encode(value, by_value(UNBOUNDED), field_type)
+        snapshot[fname] = codec.encode_value(
+            value, by_value(UNBOUNDED), registry=node.types,
+            deploy_ref=functools.partial(auto_deploy, node), declared_type=field_type)
     return RIOR(endpoint, skeleton.guid, skeleton.service_name, iface, snapshot)

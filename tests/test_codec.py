@@ -304,8 +304,8 @@ class TestMessageScope:
     def test_aliasing_across_positions(self, registry):
         shared = GNode(tag="shared")
         enc = MessageEncoder(registry)
-        w0 = enc.encode(shared, by_value())
-        w1 = enc.encode(shared, by_value())
+        w0 = json.loads(enc.encode(shared, by_value()))
+        w1 = json.loads(enc.encode(shared, by_value()))
         assert w0["k"] == "obj" and w1 == backref(w0["id"])
         dec = MessageDecoder(registry)
         a, b = dec.decode(w0), dec.decode(w1)
@@ -337,6 +337,21 @@ class TestDecodeErrors:
         rior = RIOR(Endpoint("h", 1), guid_new(), interface_descriptor=support.GNODE_TYPE)
         with pytest.raises(ProtocolError, match="resolver"):
             decode_value({"k": "ref", "rior": rior_to_doc(rior)}, registry=registry)
+
+
+    def test_integer_too_long_to_convert(self):
+        digits = b"1" * 5000  # past the interpreter's 4300-digit conversion limit
+        with pytest.raises(ProtocolError, match="malformed JSON"):
+            decode_response(b'{"ok":true,"result":{"k":"prim","t":"i64","v":' + digits + b"}}")
+        with pytest.raises(ProtocolError, match="malformed JSON"):
+            decode_request(b'{"rrt":1,"target":"t","method":"m","args":[' + digits + b"]}")
+
+    def test_f64_past_the_float_range(self, registry):
+        doc = {"k": "prim", "t": "f64", "v": 10**400}
+        with pytest.raises(ProtocolError, match="f64 primitive out of the float range"):
+            decode_value(doc, registry=registry)
+        with pytest.raises(ProtocolError, match="f64 primitive out of the float range"):
+            decode_value(obj_doc("GNode", 0, {"num": doc}), registry=registry)
 
 
 class TestEnvelopes:

@@ -33,7 +33,7 @@ def test_fixture_decodes_to_equal_graph(case):
     raw = FIXTURE[case.name].encode("utf-8")
     resolved = []
 
-    def resolve(rior):
+    def resolve(rior, nesting):
         # Stands in for loop-back: the reference names the object it was
         # deployed for, and must arrive exactly as it was sent.
         obj, sent = deployer.deployed[rior.guid]

@@ -1,10 +1,12 @@
-"""References serialized once: an envelope carrying a reference gets the
-text of the document its RIOR keeps spliced in, and its bytes and errors are
-those of encoding the whole envelope."""
+"""Envelopes written in one pass: ``MessageEncoder`` writes each value
+position's canonical JSON text as it walks, a reference as the text its RIOR
+keeps, and the envelope functions write their heads around those texts.
+Their bytes and errors are those of the document walk in ``oracle.py``
+followed by ``canonical_bytes`` of the whole envelope."""
 
 from __future__ import annotations
 
-import copy
+import functools
 import json
 import random
 import threading
@@ -15,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 import rrt
 from rrt import codec
 from rrt.codec import (
+    MAX_NESTING,
     REMEMBERED_TEXT_LIMIT,
-    MessageEncoder,
     Request,
     Response,
     encode_request,
@@ -35,8 +37,9 @@ from rrt.model import (
 )
 from rrt.node import NodeConfig, RRTNode
 from rrt.registry import TypeRegistry
-from rrt.remote import build_rior, value_encoder
+from rrt.remote import auto_deploy, build_rior, value_encoder
 from rrt.toolkit.demo import Key, Message, P2PNode, install_demo_policy, register_demo_types
+from oracle import DocumentEncoder, request_bytes, response_bytes
 from support import GNode, register_graph_types
 
 TEXTS = (
@@ -114,39 +117,47 @@ def unkept_references(node: RRTNode, host: str = "127.0.0.1", name: str | None =
     return riors + [RIOR(Endpoint(host, 8000), guid_new(), name, iface)]
 
 
-def outcome(encode, message):
+def outcome(encode, *args):
     try:
-        return encode(message)
+        return encode(*args)
     except Exception as exc:  # noqa: BLE001 - the outcome compared is the error
         return type(exc), str(exc)
 
 
-def outcomes(encode, encoder: MessageEncoder, message) -> tuple:
-    """(spliced, whole, whether the splice encoded the envelope whole) for
-    one message. The whole envelope is encoded after the splice, so
-    documents the splice left changed would show."""
-    wholes = []
-    original = codec.canonical_bytes
-
-    def counting(doc):
-        if isinstance(doc, dict) and ("rrt" in doc or "ok" in doc):
-            wholes.append(doc)
-        return original(doc)
-
-    codec.canonical_bytes = counting
-    try:
-        spliced = outcome(lambda m: encode(m, encoder), message)
-    finally:
-        codec.canonical_bytes = original
-    return spliced, outcome(encode, message), bool(wholes)
+def text_request(node: RRTNode, values: list, decisions: list) -> bytes:
+    encoder = value_encoder(node)
+    args = [encoder.encode(v, d) for v, d in zip(values, decisions)]
+    return encode_request(Request("t" * 32, "m", args))
 
 
-def request_outcomes(encoder: MessageEncoder, args: list) -> tuple:
-    return outcomes(encode_request, encoder, Request("t" * 32, "m", args))
+def oracle_request(node: RRTNode, values: list, decisions: list) -> bytes:
+    encoder = DocumentEncoder(node.types, functools.partial(auto_deploy, node))
+    return request_bytes("t" * 32, "m", [encoder.encode(v, d) for v, d in zip(values, decisions)])
 
 
-def response_outcomes(encoder: MessageEncoder, result: dict) -> tuple:
-    return outcomes(encode_response, encoder, Response(ok=True, result=result))
+def text_response(node: RRTNode, value, decision) -> bytes:
+    return encode_response(Response(ok=True, result=value_encoder(node).encode(value, decision)))
+
+
+def oracle_response(node: RRTNode, value, decision) -> bytes:
+    encoder = DocumentEncoder(node.types, functools.partial(auto_deploy, node))
+    return response_bytes(encoder.encode(value, decision))
+
+
+def request_outcomes(node: RRTNode, values: list, decisions: list) -> tuple:
+    """(written, oracle's) for one request, each its bytes or its error."""
+    return (outcome(text_request, node, values, decisions),
+            outcome(oracle_request, node, values, decisions))
+
+
+def response_outcomes(node: RRTNode, value, decision) -> tuple:
+    return (outcome(text_response, node, value, decision),
+            outcome(oracle_response, node, value, decision))
+
+
+def all_by_reference(*values) -> tuple[list, list]:
+    """Values and their decisions for a request that sends each by reference."""
+    return list(values), [rrt.by_reference()] * len(values)
 
 
 @pytest.fixture
@@ -157,10 +168,20 @@ def node():
 # -- differential property ---------------------------------------------------------
 
 
+def deep(rnd: random.Random, leaf) -> object:
+    """A chain of GNodes or of nested lists about ``MAX_NESTING`` deep."""
+    value = leaf()
+    for _ in range(MAX_NESTING + rnd.randint(-3, 1)):
+        value = GNode(left=value) if rnd.random() < 0.5 else [value]
+    return value
+
+
 def gen_graph(rnd: random.Random, received: list) -> object:
     """A GNode graph with cycles and aliasing, whose leaves and items hold
-    tricky text and floats, P2PNodes (referenced with a key snapshot), Messages
-    and references the node accepted from peers."""
+    tricky text and floats, P2PNodes (referenced with a key snapshot),
+    Messages, Holders (a field named "rior"), references the node accepted
+    from peers, and now and then a fault: an integer past 64 bits, a list
+    that holds itself, or a value nested about ``MAX_NESTING`` deep."""
     nodes: list[GNode] = []
 
     def leaf():
@@ -169,8 +190,10 @@ def gen_graph(rnd: random.Random, received: list) -> object:
             return rnd.choice(TEXTS)
         if roll < 0.3:
             return rnd.choice(FLOATS)
-        if roll < 0.5:
+        if roll < 0.45:
             return P2PNode(Key(rnd.choice(TEXTS)))
+        if roll < 0.5:
+            return Holder(0, Sent(rnd.choice(received).rior) if received else None)
         if roll < 0.6:
             return Message(rnd.choice(TEXTS))
         if roll < 0.8:
@@ -178,6 +201,16 @@ def gen_graph(rnd: random.Random, received: list) -> object:
         if roll < 0.9 and nodes:
             return rnd.choice(nodes)
         return rnd.randint(-(2**63), 2**63 - 1)
+
+    def fault():
+        roll = rnd.random()
+        if roll < 0.3:
+            return rnd.choice((2**63, -(2**63) - 1))
+        if roll < 0.5:
+            looped: list = [leaf()]
+            looped.append(looped)
+            return looped
+        return deep(rnd, leaf)
 
     def build(level: int) -> GNode:
         node = GNode(tag=rnd.choice(TEXTS), num=rnd.randint(-9, 9))
@@ -188,7 +221,8 @@ def gen_graph(rnd: random.Random, received: list) -> object:
                 setattr(node, slot, build(level + 1))
             elif roll < 0.6 and nodes:
                 setattr(node, slot, rnd.choice(nodes))
-        node.items = [leaf() for _ in range(rnd.randint(0, 3))]
+        node.items = [fault() if rnd.random() < 0.03 else leaf()
+                      for _ in range(rnd.randint(0, 3))]
         return node
 
     return build(0) if rnd.random() < 0.8 else leaf()
@@ -204,22 +238,18 @@ def test_spliced_envelopes_match_the_whole_encoding(seed):
     node = make_node()
     received = [Sent(kept_reference(node, rnd.choice(HOSTS), rnd.choice(NAMES)))
                 for _ in range(3)]
-    # A peer's snapshot is kept as received; this one holds a marker of its own.
-    odd = node.references.parse({**received_doc(node), "cache": {
-        "fields": {"key": {"rior": 0}}, "accessors": ["key"]}})
-    received.append(Sent(odd))
+    # Peers' snapshots are kept as received: an odd one, and one JSON cannot carry.
+    for value in ({"rior": 0}, {"k": "prim", "t": "f64", "v": rnd.choice(FLOATS)}):
+        received.append(Sent(node.references.parse({**received_doc(node), "cache": {
+            "fields": {"key": value}, "accessors": ["key"]}})))
     received += map(Sent, unkept_references(
         node, rnd.choice(HOSTS), rnd.choice(NAMES), rnd.choice(TEXTS)))
     for _ in range(3):  # kept references are reused across messages
-        encoder = value_encoder(node)
-        args = [encoder.encode(gen_graph(rnd, received), rnd.choice(DECISIONS))
-                for _ in range(rnd.randint(1, 3))]
-        spliced, whole, _ = request_outcomes(encoder, args)
-        assert spliced == whole
-        encoder = value_encoder(node)
-        result = encoder.encode(gen_graph(rnd, received), rnd.choice(DECISIONS))
-        spliced, whole, _ = response_outcomes(encoder, result)
-        assert spliced == whole
+        values = [gen_graph(rnd, received) for _ in range(rnd.randint(1, 3))]
+        written, oracle = request_outcomes(node, values, [rnd.choice(DECISIONS) for _ in values])
+        assert written == oracle
+        written, oracle = response_outcomes(node, gen_graph(rnd, received), rnd.choice(DECISIONS))
+        assert written == oracle
 
 
 # -- edge cases --------------------------------------------------------------------
@@ -227,30 +257,28 @@ def test_spliced_envelopes_match_the_whole_encoding(seed):
 
 def test_references_the_node_does_not_remember_are_spliced(node):
     riors = unkept_references(node)
-    encoder = value_encoder(node)
-    args = [encoder.encode(Sent(rior), rrt.by_reference()) for rior in riors]
-    spliced, whole, fell_back = request_outcomes(encoder, args)
-    assert spliced == whole and not fell_back
-    assert all(rior._text is not None and spliced.count(rior._text) == 1 for rior in riors)
+    written, oracle = request_outcomes(node, *all_by_reference(*map(Sent, riors)))
+    assert written == oracle
+    assert all(rior._text is not None and written.count(rior._text.encode()) == 1
+               for rior in riors)
 
 
-def test_threads_sending_a_fresh_reference_at_once_keep_one_document(node, monkeypatch):
+def test_threads_sending_a_fresh_reference_at_once_keep_one_text(node, monkeypatch):
     rior = RIOR(Endpoint("127.0.0.1", 8000), guid_new(), "P2P",
                 node.types.lookup("IP2PNode").descriptor)
     both_built = threading.Barrier(2, timeout=5)
-    original = codec.rior_to_doc
+    original = codec.canonical_text
 
-    def racing(*args):
-        doc = original(*args)
-        both_built.wait()  # neither thread keeps its document before both built one
-        return doc
+    def racing(doc):
+        if doc == rior.guid.hex:  # neither thread keeps its text before both wrote one
+            both_built.wait()
+        return original(doc)
 
-    monkeypatch.setattr(codec, "rior_to_doc", racing)
-    encoders = [value_encoder(node), value_encoder(node)]
-    docs: list = [None, None]
+    monkeypatch.setattr(codec, "canonical_text", racing)
+    texts: list = [None, None]
 
     def emit(i: int) -> None:
-        docs[i] = encoders[i].encode(Sent(rior), rrt.by_reference())
+        texts[i] = codec.reference_text(rior, node.types)
 
     threads = [threading.Thread(target=emit, args=(i,)) for i in range(2)]
     for t in threads:
@@ -258,89 +286,74 @@ def test_threads_sending_a_fresh_reference_at_once_keep_one_document(node, monke
     for t in threads:
         t.join(timeout=10)
     assert not any(t.is_alive() for t in threads)
-    assert docs[0]["rior"] is docs[1]["rior"] is rior._doc
-    for encoder, doc in zip(encoders, docs):
-        spliced, whole, fell_back = request_outcomes(encoder, [doc])
-        assert spliced == whole and not fell_back
-
-
-def test_field_named_rior_and_marker_text_are_spliced_around(node):
-    rior = kept_reference(node)
-    value = GNode(tag='"rior":0}', items=[Holder(0, Sent(rior)), '{"k":"ref","rior":0}'])
-    encoder = value_encoder(node)
-    args = [encoder.encode(value, rrt.by_value())]
-    spliced, whole, fell_back = request_outcomes(encoder, args)
-    assert spliced == whole and b'\\"rior\\":0}' in spliced and not fell_back
-    assert rior._text is not None
+    assert texts[0] is texts[1] is rior._text
+    monkeypatch.undo()
+    written, oracle = request_outcomes(node, *all_by_reference(Sent(rior)))
+    assert written == oracle and written.count(rior._text.encode()) == 1
 
 
 def test_same_reference_twice_in_one_message(node):
     sent = Sent(kept_reference(node))
-    encoder = value_encoder(node)
-    args = [encoder.encode(sent, rrt.by_reference()),
-            encoder.encode(GNode(items=[sent, sent]), rrt.by_value())]
-    spliced, whole, fell_back = request_outcomes(encoder, args)
-    assert spliced == whole and spliced.count(sent.rior._text) == 3 and not fell_back
+    values = [sent, GNode(items=[sent, sent])]
+    written, oracle = request_outcomes(node, values, [rrt.by_reference(), rrt.by_value()])
+    assert written == oracle and written.count(sent.rior._text.encode()) == 3
 
 
 def test_snapshot_holding_a_reference(node):
     inner = kept_reference(node)
     p2p = P2PNode(Key("k"))
     p2p.key = Sent(inner)  # the cached field's value is itself a reference
-    encoder = value_encoder(node)
-    result = encoder.encode(p2p, rrt.by_reference())
-    spliced, whole, fell_back = response_outcomes(encoder, result)
-    assert spliced == whole and not fell_back
-    snapshot = json.loads(spliced)["result"]["rior"]["cache"]["fields"]["key"]
-    assert snapshot == {"k": "ref", "rior": json.loads(codec.canonical_bytes(inner._doc))}
+    written, oracle = response_outcomes(node, p2p, rrt.by_reference())
+    assert written == oracle
+    snapshot = json.loads(written)["result"]["rior"]["cache"]["fields"]["key"]
+    assert snapshot == {"k": "ref", "rior": json.loads(codec.canonical_bytes(
+        codec.rior_to_doc(inner)))}
 
 
 @pytest.mark.parametrize("host", HOSTS[:4])
 @pytest.mark.parametrize("name", NAMES)
 def test_escaped_hosts_and_names(node, host, name):
     rior = kept_reference(node, host, name)
-    encoder = value_encoder(node)
-    spliced, whole, fell_back = request_outcomes(
-        encoder, [encoder.encode(Sent(rior), rrt.by_reference())])
-    assert spliced == whole and not fell_back
-    assert rior._text == codec.canonical_bytes(rior._doc)
+    written, oracle = request_outcomes(node, *all_by_reference(Sent(rior)))
+    assert written == oracle
+    assert rior._text == codec.canonical_text(codec.rior_to_doc(rior))
 
 
 def test_unencodable_kept_reference_raises_the_whole_envelopes_error(node):
     rior = kept_reference(node, "lone\udc00")
-    encoder = value_encoder(node)
-    spliced, whole, _ = request_outcomes(encoder, [encoder.encode(Sent(rior), rrt.by_reference())])
-    assert spliced == whole and spliced[0] is WireFormatError
-    assert "surrogates not allowed" in spliced[1]
+    written, oracle = request_outcomes(node, *all_by_reference(Sent(rior)))
+    assert written == oracle and written[0] is WireFormatError
+    assert "surrogates not allowed" in written[1]
 
 
 def test_nan_in_a_snapshot_raises_the_whole_envelopes_error(node):
-    p2p = P2PNode(Key(float("nan")))
-    encoder = value_encoder(node)
-    spliced, whole, _ = response_outcomes(encoder, encoder.encode(p2p, rrt.by_reference()))
-    assert spliced == whole
-    assert spliced[0] is WireFormatError
-    assert spliced[1].startswith("value not representable in JSON: ")
+    """A cached field JSON cannot carry fails as the snapshot is taken, and
+    the service deployed for it is undeployed again; a peer's snapshot fails
+    as its reference is written."""
+    before = len(node.services.list_skeletons())
+    written, oracle = response_outcomes(node, P2PNode(Key(float("nan"))), rrt.by_reference())
+    assert written == oracle
+    assert written[0] is WireFormatError
+    assert written[1].startswith("value not representable in JSON: ")
+    assert len(node.services.list_skeletons()) == before
+    peer = node.references.parse({**received_doc(node), "cache": {
+        "fields": {"key": {"k": "prim", "t": "f64", "v": float("inf")}}, "accessors": ["key"]}})
+    written, oracle = response_outcomes(node, Sent(peer), rrt.by_reference())
+    assert written == oracle and written[0] is WireFormatError
+    assert peer._text is None
 
 
-@pytest.mark.parametrize("change", ["replaced", "removed"])
-def test_a_changed_reference_document_is_encoded_as_changed(node, change):
-    encoder = value_encoder(node)
-    doc = encoder.encode(Sent(kept_reference(node)), rrt.by_reference())
-    if change == "replaced":
-        doc["rior"] = {**copy.deepcopy(doc["rior"]), "name": "changed"}
-    else:
-        del doc["rior"]
-    spliced, whole, fell_back = request_outcomes(encoder, [doc])
-    assert spliced == whole and b'"name":"P2P"' not in spliced and fell_back
-
-
-def test_documents_are_left_as_they_were(node):
-    rior = kept_reference(node)
-    encoder = value_encoder(node)
-    args = [encoder.encode(GNode(items=[Sent(rior)]), rrt.by_value())]
-    encode_request(Request("t", "m", args), encoder)
-    assert args[0]["fields"]["items"]["elements"][0]["rior"] is rior._doc
+def test_first_fault_in_walk_order_wins(node):
+    """A float JSON cannot carry fails where the walk meets it, before a
+    value nested too deep that comes after it."""
+    too_deep: list = []
+    for _ in range(MAX_NESTING):
+        too_deep = [too_deep]
+    for first, then, match in ((float("nan"), too_deep, "not representable"),
+                               (too_deep, float("nan"), "nests more than")):
+        values = [GNode(items=[first, then])]
+        written, oracle = request_outcomes(node, values, [rrt.by_value()])
+        assert written == oracle and written[0] is WireFormatError and match in written[1]
 
 
 def test_text_is_built_once_and_again_after_a_rule_change(node, monkeypatch):
@@ -358,9 +371,10 @@ def test_text_is_built_once_and_again_after_a_rule_change(node, monkeypatch):
     skeleton = node.services.deploy(Message("m"), None, "msg")
 
     def emit():
-        encoder = value_encoder(node)
-        doc = encoder.encode(node.services.lookup("msg").service_object, rrt.by_reference())
-        return encode_request(Request("t", "m", [doc]), encoder)
+        written, oracle = request_outcomes(
+            node, *all_by_reference(node.services.lookup("msg").service_object))
+        assert written == oracle
+        return written
 
     sent = {emit() for _ in range(100)}
     kept = build_rior(node, skeleton)
@@ -382,7 +396,5 @@ def test_port_is_written_as_json_writes_it(port):
     node = make_node()
     node.endpoint = Endpoint("127.0.0.1", port)
     rior = build_rior(node, node.services.deploy(Message("m"), None, "msg"))
-    encoder = value_encoder(node)
-    spliced, whole, fell_back = request_outcomes(
-        encoder, [encoder.encode(Sent(rior), rrt.by_reference())])
-    assert spliced == whole and b'"port":%s,' % str(port).encode() in spliced and not fell_back
+    written, oracle = request_outcomes(node, *all_by_reference(Sent(rior)))
+    assert written == oracle and b'"port":%s,' % str(port).encode() in written
